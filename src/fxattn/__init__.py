@@ -1,6 +1,7 @@
 """Bit-faithful emulator of a fixed-point streaming transformer.
 
-Subpackages cover fixed-point arithmetic (:mod:`fxattn.fxp`), dense kernels
+Subpackages cover fixed-point arithmetic (:mod:`fxattn.fxp`), the one
+float/fixed op set and dense kernel every forward path shares
 (:mod:`fxattn.layers`), table-based softmax (:mod:`fxattn.softmax`), the
 four-stage streaming attention pipeline (:mod:`fxattn.attention`), the full
 flavor-tagging model (:mod:`fxattn.model`), an FPGA resource/latency cost

@@ -123,18 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _coerce_defaults(args: argparse.Namespace) -> None:
-    # string defaults above keep --help readable; coerce them post-parse
-    if getattr(args, "int_bits", None) is not None and isinstance(args.int_bits, str):
-        args.int_bits = parse_int_list(args.int_bits)
-    if getattr(args, "frac_bits", None) is not None and isinstance(args.frac_bits, str):
-        args.frac_bits = parse_int_list(args.frac_bits)
-    if getattr(args, "rf", None) is not None and isinstance(args.rf, str):
-        args.rf = parse_int_list(args.rf)
-    if getattr(args, "fmt", None) is not None and isinstance(args.fmt, str):
-        args.fmt = fxp.parse_format(args.fmt)
-
-
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -238,7 +226,6 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    _coerce_defaults(args)
     try:
         return _COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:

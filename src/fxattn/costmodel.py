@@ -75,19 +75,6 @@ def device_by_name(name: str) -> DeviceProfile:
 
 
 @dataclass(frozen=True)
-class ReuseFactor:
-    rf: int
-
-    def __post_init__(self) -> None:
-        if self.rf < 1:
-            raise ValueError("reuse factor must be >= 1")
-
-
-def _rf(value) -> int:
-    return value.rf if isinstance(value, ReuseFactor) else ReuseFactor(int(value)).rf
-
-
-@dataclass(frozen=True)
 class CalibrationConstants:
     """Latency/area calibration. Cycle constants are exact rationals; the
     fixed depth is chosen so rf=1 on the stock clock lands on the published
@@ -208,9 +195,10 @@ def _fifo_bits(cfg: ModelConfig, width_bits: int) -> dict[str, int]:
     }
 
 
-def estimate_resources(cfg: ModelConfig, fmt: FxFormat, rf, dev: DeviceProfile,
+def estimate_resources(cfg: ModelConfig, fmt: FxFormat, rf: int, dev: DeviceProfile,
                        calib: CalibrationConstants | None = None) -> ResourceReport:
-    rf = _rf(rf)
+    if rf < 1:
+        raise ValueError("reuse factor must be >= 1")
     calib = calib or CalibrationConstants()
     bits = fmt.total_bits
     table_bits = 2 * cfg.softmax_table_size * bits  # exp + inv per softmax
@@ -266,7 +254,7 @@ class LatencyReport:
     reuse_factor: int
 
 
-def estimate_latency(cfg: ModelConfig, rf, dev: DeviceProfile,
+def estimate_latency(cfg: ModelConfig, rf: int, dev: DeviceProfile,
                      calib: CalibrationConstants | None = None) -> LatencyReport:
     """ii = base_ii * rf; latency_cycles = fixed_depth + per_rf_depth * rf.
 
@@ -274,7 +262,8 @@ def estimate_latency(cfg: ModelConfig, rf, dev: DeviceProfile,
     for signature symmetry with estimate_resources.
     """
     del cfg
-    rf = _rf(rf)
+    if rf < 1:
+        raise ValueError("reuse factor must be >= 1")
     calib = calib or CalibrationConstants()
     clock = Fraction(str(dev.clock_ns))
     ii_cycles = calib.base_ii_cycles * rf

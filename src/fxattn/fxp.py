@@ -252,6 +252,12 @@ class FxArray:
     def __getitem__(self, idx) -> "FxArray":
         return FxArray(np.asarray(self.raw[idx]), self.fmt)
 
+    def reshape(self, *shape) -> "FxArray":
+        return FxArray(self.raw.reshape(*shape), self.fmt)
+
+    def swapaxes(self, axis1: int, axis2: int) -> "FxArray":
+        return FxArray(self.raw.swapaxes(axis1, axis2), self.fmt)
+
 
 def _as_object(a: np.ndarray) -> np.ndarray:
     if a.dtype == object:

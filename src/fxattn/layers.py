@@ -1,7 +1,13 @@
-"""Dense linear-algebra kernels generic over float64 and fixed-point tensors.
+"""The one op set every forward path uses, over float64 or fixed-point tensors.
 
-Both number representations share the same call surface: float tensors are
-plain ``np.ndarray`` (float64), fixed-point tensors are :class:`fxp.FxArray`.
+Float tensors are plain ``np.ndarray`` (float64), fixed-point tensors are
+:class:`fxp.FxArray`. Each op here tests which one it was given and runs
+numpy or the matching :mod:`fxattn.fxp` kernel, so this is the only module
+that knows how an operation runs in each number mode; the attention paths
+and the model call these ops and never test the mode themselves. Data
+movement (indexing, ``reshape``, ``swapaxes``) needs no op: both tensor
+types support it.
+
 Fixed-mode dot products accumulate exactly and round once per output element
 (see :func:`fxp.fx_matmul`); the bias is then added as an exact raw addition
 with overflow handling.
@@ -10,11 +16,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from fxattn import fxp
 from fxattn.fxp import FxArray
+from fxattn.softmax import SoftmaxConfig, softmax_exact, softmax_lut
 
 Tensor = np.ndarray | FxArray
 
@@ -41,72 +49,84 @@ class DenseLayer:
                 f"bias length {self.bias.shape[0]} != output rows {self.weights.shape[0]}"
             )
 
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
+# score a masked-out key receives before the float softmax; exp of it is 0
+_FLOAT_MASK_SCORE = -1e30
 
 
-def is_fixed(x: Tensor) -> bool:
-    return isinstance(x, FxArray)
+def fmt_of(x: Tensor) -> fxp.FxFormat | None:
+    """The fixed-point format of ``x``, or None for a float tensor."""
+    return x.fmt if isinstance(x, FxArray) else None
 
 
-def matvec(m: Tensor, v: Tensor) -> Tensor:
-    """out[i] = sum_j m[i, j] * v[j], with one final rounding per element in fixed mode."""
-    if m.ndim != 2 or v.ndim != 1:
-        raise ValueError(f"matvec expects (out, in) x (in,), got {m.shape} x {v.shape}")
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {m.shape} @ {v.shape}")
-    if is_fixed(m) != is_fixed(v):
-        raise TypeError("mixed float/fixed operands")
-    if is_fixed(m):
-        return fxp.fx_matmul(m, v)
-    return m @ v
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b``; in fixed mode each element is one exact dot product rounded once."""
+    if isinstance(a, FxArray):
+        return fxp.fx_matmul(a, b)
+    return a @ b
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if is_fixed(a):
+    if isinstance(a, FxArray):
         return fxp.fx_add_array(a, b)
     return a + b
 
 
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product with broadcasting."""
+    if isinstance(a, FxArray):
+        return fxp.fx_mul_array(a, b)
+    return a * b
+
+
 def relu(x: Tensor) -> Tensor:
-    if is_fixed(x):
+    if isinstance(x, FxArray):
         return fxp.fx_relu(x)
     return np.maximum(x, 0.0)
 
 
-def dense_forward(layer: DenseLayer, v: Tensor, softmax_cfg=None) -> Tensor:
-    """activation(W v + b). Softmax needs a table config in fixed mode."""
-    pre = add(matvec(layer.weights, v), layer.bias)
-    if layer.activation is Activation.NONE:
-        return pre
+def softmax(x: Tensor, cfg: SoftmaxConfig | None,
+            keep: np.ndarray | None = None) -> Tensor:
+    """Softmax along the last axis: table-based in fixed mode, exact in float.
+
+    ``keep`` (bool, one entry per key) masks keys out: a masked key gets
+    weight exactly 0 in both modes.
+    """
+    if isinstance(x, FxArray):
+        if cfg is None:
+            raise ValueError("fixed-mode softmax requires a SoftmaxConfig")
+        return softmax_lut(cfg, x, keep)
+    if keep is not None:
+        x = np.where(keep, x, _FLOAT_MASK_SCORE)
+    return softmax_exact(x)
+
+
+def stack(rows: Sequence[Tensor]) -> Tensor:
+    """Stack equal-shape tensors along a new first axis."""
+    if isinstance(rows[0], FxArray):
+        return FxArray(np.stack([r.raw for r in rows]), rows[0].fmt)
+    return np.stack(rows)
+
+
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join tensors along the last axis."""
+    if isinstance(parts[0], FxArray):
+        return FxArray(np.concatenate([p.raw for p in parts], axis=-1), parts[0].fmt)
+    return np.concatenate(parts, axis=-1)
+
+
+def dense_forward(layer: DenseLayer, x: Tensor,
+                  softmax_cfg: SoftmaxConfig | None = None) -> Tensor:
+    """activation(x @ W^T + b) over rows of shape (..., in_dim).
+
+    Softmax needs a table config in fixed mode.
+    """
+    pre = add(matmul(x, layer.weights.swapaxes(-1, -2)), layer.bias)
     if layer.activation is Activation.RELU:
         return relu(pre)
-    # softmax: table-based in fixed mode, exact in float mode
-    from fxattn import softmax as _softmax
-
-    if is_fixed(pre):
-        if softmax_cfg is None:
-            raise ValueError("fixed-mode softmax requires a SoftmaxConfig")
-        return _softmax.softmax_lut(softmax_cfg, pre)
-    return _softmax.softmax_exact(pre)
-
-
-def flatten(x: Tensor) -> Tensor:
-    """Row-major concatenation of a (rows, cols) tensor into one vector."""
-    if is_fixed(x):
-        return FxArray(np.ascontiguousarray(x.raw).reshape(-1), x.fmt)
-    return np.ascontiguousarray(x).reshape(-1)
-
-
-def unflatten(v: Tensor, rows: int, cols: int) -> Tensor:
-    if is_fixed(v):
-        return FxArray(v.raw.reshape(rows, cols), v.fmt)
-    return np.asarray(v).reshape(rows, cols)
+    if layer.activation is Activation.SOFTMAX:
+        return softmax(pre, softmax_cfg)
+    return pre
 
 
 def quantize_dense(layer: DenseLayer, fmt: fxp.FxFormat) -> DenseLayer:

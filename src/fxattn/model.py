@@ -25,9 +25,9 @@ from fxattn import fxp
 from fxattn import layers as L
 from fxattn.attention import MhaConfig, MhaWeights, mha_forward_batch, \
     quantize_mha_weights, random_mha_weights
-from fxattn.fxp import FxArray, FxFormat
+from fxattn.fxp import FxFormat
 from fxattn.layers import Activation, DenseLayer
-from fxattn.softmax import make_softmax_config, softmax_exact, softmax_lut
+from fxattn.softmax import make_softmax_config
 
 log = logging.getLogger(__name__)
 
@@ -268,24 +268,6 @@ def quantize_weights(w: ModelWeights, fmt: FxFormat) -> ModelWeights:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def _dense_batch(layer: DenseLayer, x, softmax_cfg=None):
-    """dense_forward over a batch of row vectors (..., in_dim)."""
-    if isinstance(x, FxArray):
-        w_t = FxArray(layer.weights.raw.T, x.fmt)
-        pre = fxp.fx_add_array(fxp.fx_matmul(x, w_t), layer.bias)
-        if layer.activation is Activation.RELU:
-            return fxp.fx_relu(pre)
-        if layer.activation is Activation.SOFTMAX:
-            return softmax_lut(softmax_cfg, pre)
-        return pre
-    pre = x @ layer.weights.T + layer.bias
-    if layer.activation is Activation.RELU:
-        return np.maximum(pre, 0.0)
-    if layer.activation is Activation.SOFTMAX:
-        return softmax_exact(pre)
-    return pre
-
-
 def forward_batch(cfg: ModelConfig, weights: ModelWeights, x: np.ndarray,
                   fmt: FxFormat | None = None) -> np.ndarray:
     """Probabilities (n, num_classes) for a batch of (n, seq_len, num_features).
@@ -314,22 +296,16 @@ def forward_batch(cfg: ModelConfig, weights: ModelWeights, x: np.ndarray,
                                       table_size=cfg.softmax_table_size,
                                       exp_lo=cfg.softmax_exp_lo)
 
-    def _add(a, b):
-        return fxp.fx_add_array(a, b) if fmt is not None else a + b
-
     for block in qw.blocks:
         attn = mha_forward_batch(cfg.encoder.mha, block.mha, score_cfg, h)
-        h = _add(h, attn) if cfg.encoder.residual_mha else attn
-        ff = _dense_batch(block.ff2, _dense_batch(block.ff1, h))
-        h = _add(h, ff) if cfg.encoder.residual_ff else ff
+        h = L.add(h, attn) if cfg.encoder.residual_mha else attn
+        ff = L.dense_forward(block.ff2, L.dense_forward(block.ff1, h))
+        h = L.add(h, ff) if cfg.encoder.residual_ff else ff
 
-    if fmt is None:
-        flat = h.reshape(h.shape[0], -1)
-    else:
-        flat = FxArray(np.ascontiguousarray(h.raw).reshape(h.raw.shape[0], -1), fmt)
+    flat = h.reshape(h.shape[0], -1)
     for layer in qw.head:
-        flat = _dense_batch(layer, flat)
-    probs = _dense_batch(qw.output, flat, softmax_cfg=out_cfg)
+        flat = L.dense_forward(layer, flat)
+    probs = L.dense_forward(qw.output, flat, softmax_cfg=out_cfg)
     return probs.to_float() if fmt is not None else probs
 
 

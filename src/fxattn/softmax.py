@@ -81,8 +81,16 @@ def make_softmax_config(fmt: FxFormat, n_max: float, table_size: int = 1024,
     )
 
 
-def softmax_lut(cfg: SoftmaxConfig, v: FxArray) -> FxArray:
-    """Table-based softmax along the last axis (batched shapes welcome)."""
+def softmax_lut(cfg: SoftmaxConfig, v: FxArray,
+                keep: np.ndarray | None = None) -> FxArray:
+    """Table-based softmax along the last axis (batched shapes welcome).
+
+    ``keep`` (bool, one entry per element of the last axis) marks the
+    elements that take part. The row maximum is taken over kept elements
+    only and the exp terms of the others are zeroed before the sum, as a
+    hardware valid bit would, so a masked element gets weight exactly 0 and
+    the kept ones equal the softmax of the kept sub-vector.
+    """
     if v.shape[-1] == 0:
         raise ValueError("softmax of an empty vector")
     fmt = cfg.io_format
@@ -94,10 +102,14 @@ def softmax_lut(cfg: SoftmaxConfig, v: FxArray) -> FxArray:
     # shift the row maximum to zero; the difference is overflow-handled in
     # the I/O format (saturation just pins far-below-range inputs, which the
     # exp table clamps to its bottom bin anyway)
-    m = raw.max(axis=-1, keepdims=True)
+    kept = raw if keep is None else np.where(keep, raw, fmt.raw_min)
+    m = kept.max(axis=-1, keepdims=True)
     shifted = fxp._handle_overflow_array(raw - m, fmt)
     x = np.asarray(shifted, dtype=np.float64) * fmt.step
-    e = FxArray(cfg.exp_table.lookup_raw(x), fmt)
+    e_raw = cfg.exp_table.lookup_raw(x)
+    if keep is not None:
+        e_raw = np.where(keep, e_raw, 0)
+    e = FxArray(e_raw, fmt)
     s = fxp.fx_sum(e, axis=-1)
     s_val = np.asarray(s.raw, dtype=np.float64) * fmt.step
     inv_raw = cfg.inv_table.lookup_raw(s_val)

@@ -25,6 +25,10 @@ def identity_weights(cfg):
     )
 
 
+def rows_of(x):
+    return [x[t] for t in range(x.shape[0])]
+
+
 def fill_channel(rows, name="in"):
     ch = StreamChannel(len(rows), name)
     for r in rows:
@@ -95,7 +99,7 @@ def test_stage1_identity_passthrough():
     cfg = MhaConfig(d_model=3, num_heads=1, seq_len=4, d_k=3, d_v=3)
     w = identity_weights(cfg)
     x = np.arange(12.0).reshape(4, 3)
-    q, k, v = att.stage1_project(cfg, w, fill_channel(att._rows(x)))
+    q, k, v = att.stage1_project(cfg, w, fill_channel(rows_of(x)))
     for ch in (q[0], k[0], v[0]):
         got = np.stack([ch.read() for _ in range(4)])
         assert np.array_equal(got, x)
@@ -106,7 +110,7 @@ def test_stage1_zero_weights():
     w = att.random_mha_weights(cfg, np.random.default_rng(0))
     w.w_q = np.zeros_like(w.w_q)
     w.b_q = np.zeros_like(w.b_q)
-    q, _, _ = att.stage1_project(cfg, w, fill_channel(att._rows(np.ones((4, 3)))))
+    q, _, _ = att.stage1_project(cfg, w, fill_channel(rows_of(np.ones((4, 3)))))
     for h in range(2):
         for _ in range(4):
             assert np.all(q[h].read() == 0)
@@ -116,7 +120,7 @@ def test_stage1_wrong_row_count():
     cfg = MhaConfig(d_model=3, num_heads=1, seq_len=4, d_k=3)
     w = identity_weights(cfg)
     with pytest.raises(ValueError):
-        att.stage1_project(cfg, w, fill_channel(att._rows(np.ones((2, 3)))))
+        att.stage1_project(cfg, w, fill_channel(rows_of(np.ones((2, 3)))))
 
 
 def test_stage1_matches_dense_oracle():
@@ -124,7 +128,7 @@ def test_stage1_matches_dense_oracle():
     rng = np.random.default_rng(1)
     w = att.random_mha_weights(cfg, rng)
     x = rng.normal(size=(4, 5))
-    q, k, v = att.stage1_project(cfg, w, fill_channel(att._rows(x)))
+    q, k, v = att.stage1_project(cfg, w, fill_channel(rows_of(x)))
     for h in range(2):
         got = np.stack([q[h].read() for _ in range(4)])
         assert np.allclose(got, x @ w.w_q[h].T + w.b_q[h], atol=1e-12)
@@ -152,8 +156,8 @@ def test_stage2_matches_float_oracle():
     rng = np.random.default_rng(2)
     q = rng.normal(size=(4, 4))
     k = rng.normal(size=(4, 4))
-    out = att.stage2_scores(cfg, None, fill_channel(att._rows(q)),
-                            fill_channel(att._rows(k)))
+    out = att.stage2_scores(cfg, None, fill_channel(rows_of(q)),
+                            fill_channel(rows_of(k)))
     got = np.stack([out.read() for _ in range(4)])
     want = sm.softmax_exact(q @ k.T / math.sqrt(4))
     assert np.allclose(got, want, atol=1e-12)
@@ -170,7 +174,7 @@ def test_stage3_one_hot_scores_select_rows():
     cfg = MhaConfig(d_model=3, num_heads=1, seq_len=3, d_k=3, d_v=3)
     v = np.arange(9.0).reshape(3, 3)
     scores = [np.eye(3)[t] for t in range(3)]
-    out = att.stage3_apply(cfg, fill_channel(scores), fill_channel(att._rows(v)))
+    out = att.stage3_apply(cfg, fill_channel(scores), fill_channel(rows_of(v)))
     got = np.stack([out.read() for _ in range(3)])
     assert np.array_equal(got, v)
 
@@ -180,7 +184,7 @@ def test_stage3_uniform_scores_average():
     rng = np.random.default_rng(3)
     v = rng.normal(size=(4, 3))
     scores = [np.full(4, 0.25) for _ in range(4)]
-    out = att.stage3_apply(cfg, fill_channel(scores), fill_channel(att._rows(v)))
+    out = att.stage3_apply(cfg, fill_channel(scores), fill_channel(rows_of(v)))
     for _ in range(4):
         assert np.allclose(out.read(), v.mean(axis=0), atol=1e-12)
 
@@ -190,7 +194,7 @@ def test_stage3_matches_dense_product():
     rng = np.random.default_rng(4)
     s = rng.random((5, 5))
     v = rng.normal(size=(5, 3))
-    out = att.stage3_apply(cfg, fill_channel(att._rows(s)), fill_channel(att._rows(v)))
+    out = att.stage3_apply(cfg, fill_channel(rows_of(s)), fill_channel(rows_of(v)))
     got = np.stack([out.read() for _ in range(5)])
     assert np.allclose(got, s @ v, atol=1e-12)
 
@@ -198,7 +202,7 @@ def test_stage3_matches_dense_product():
 def test_stage4_identity_single_head():
     cfg = MhaConfig(d_model=3, num_heads=1, seq_len=4, d_k=3, d_v=3)
     w = identity_weights(cfg)
-    rows = att._rows(np.arange(12.0).reshape(4, 3))
+    rows = rows_of(np.arange(12.0).reshape(4, 3))
     out = att.stage4_concat_project(cfg, w, [fill_channel(rows)])
     got = np.stack([out.read() for _ in range(4)])
     assert np.array_equal(got, np.arange(12.0).reshape(4, 3))
@@ -221,7 +225,7 @@ def test_stage4_matches_concat_oracle():
     w = att.random_mha_weights(cfg, rng)
     blocks = [rng.normal(size=(3, 2)) for _ in range(2)]
     out = att.stage4_concat_project(
-        cfg, w, [fill_channel(att._rows(b)) for b in blocks])
+        cfg, w, [fill_channel(rows_of(b)) for b in blocks])
     got = np.stack([out.read() for _ in range(3)])
     want = np.concatenate(blocks, axis=1) @ w.w_o.T + w.b_o
     assert np.allclose(got, want, atol=1e-12)
@@ -342,7 +346,7 @@ def test_fixed_scores_nonnegative_and_bounded_sums():
     w = att.quantize_mha_weights(att.random_mha_weights(cfg, rng), fmt)
     x = fxp.quantize_array(rng.normal(size=(5, 6)), fmt)
     scfg = make_softmax(fmt, 5)
-    in_q, in_k, _ = att.stage1_project(cfg, w, fill_channel(att._rows(x)))
+    in_q, in_k, _ = att.stage1_project(cfg, w, fill_channel(rows_of(x)))
     s_ch = att.stage2_scores(cfg, scfg, in_q[0], in_k[0])
     rows = np.stack([s_ch.read().raw for _ in range(5)])
     assert rows.min() >= 0
@@ -365,6 +369,66 @@ def test_mask_hook_excludes_rows_float():
     s[:, ~mask] = -np.inf
     want = sm.softmax_exact(s) @ v @ w.w_o.T + w.b_o
     assert np.allclose(out, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("spec", ["fixed<20,8>", "fixed<24,8>"])
+def test_mask_fixed_masked_key_gets_zero_weight(spec):
+    fmt = fxp.parse_format(spec)
+    cfg = MhaConfig(d_model=6, num_heads=2, seq_len=5, d_k=3)
+    rng = np.random.default_rng(17)
+    w = att.quantize_mha_weights(att.random_mha_weights(cfg, rng), fmt)
+    x = fxp.quantize_array(rng.normal(size=(5, 6)), fmt)
+    scfg = make_softmax(fmt, 5)
+    mask = np.array([True, True, False, True, False])
+    q, k, _ = att.stage1_project(cfg, w, fill_channel(rows_of(x)))
+    for h in range(cfg.num_heads):
+        s_ch = att.stage2_scores(cfg, scfg, q[h], k[h], mask=mask)
+        rows = np.stack([s_ch.read().raw for _ in range(5)])
+        assert np.all(rows[:, ~mask] == 0)
+        assert rows.min() >= 0
+        sums = rows.sum(axis=1) * fmt.step
+        assert np.abs(sums - 1.0).max() <= 3 * (0.015 + fmt.step)
+
+
+@pytest.mark.parametrize("spec", ["fixed<20,8>", "fixed<24,8>"])
+def test_mask_fixed_paths_agree_and_ignore_masked_rows(spec):
+    # streaming == reference == batch bit for bit with a mask, and what a
+    # masked row holds cannot reach the output of any kept row
+    fmt = fxp.parse_format(spec)
+    cfg = MhaConfig(d_model=6, num_heads=2, seq_len=5, d_k=3)
+    rng = np.random.default_rng(18)
+    w = att.quantize_mha_weights(att.random_mha_weights(cfg, rng), fmt)
+    scfg = make_softmax(fmt, 5)
+    mask = np.array([True, False, True, True, False])
+    x = rng.normal(size=(5, 6))
+    x_other = x.copy()
+    x_other[~mask] = rng.normal(0.0, 4.0, size=(2, 6))
+    outs = []
+    for xi in (x, x_other):
+        xq = fxp.quantize_array(xi, fmt)
+        a = att.run_mha_streaming(cfg, w, scfg, xq, mask=mask)
+        b = att.run_mha_reference(cfg, w, scfg, xq, mask=mask)
+        c = att.mha_forward_batch(cfg, w, scfg, FxArray(xq.raw[None], fmt), mask=mask)
+        assert np.array_equal(a.raw, b.raw)
+        assert np.array_equal(a.raw, c.raw[0])
+        outs.append(a.raw)
+    assert np.array_equal(outs[0][mask], outs[1][mask])
+
+
+@pytest.mark.parametrize("mask", [
+    np.array([1, 1, 0, 1]),                # not bool: ~ would flip every bit
+    np.array([True, False, True]),         # wrong length
+    np.ones((1, 4), dtype=bool),           # not a vector
+    np.zeros(4, dtype=bool),               # keeps no key
+], ids=["int", "short", "2d", "empty"])
+def test_bad_mask_rejected_on_every_path(mask):
+    cfg = MhaConfig(d_model=4, num_heads=1, seq_len=4, d_k=4)
+    w = att.random_mha_weights(cfg, np.random.default_rng(0))
+    x = np.ones((4, 4))
+    for run, xi in ((att.run_mha_streaming, x), (att.run_mha_reference, x),
+                    (att.mha_forward_batch, x[None])):
+        with pytest.raises(ValueError, match="mask"):
+            run(cfg, w, None, xi, mask=mask)
 
 
 def test_input_shape_rejected():

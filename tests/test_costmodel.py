@@ -125,7 +125,7 @@ def test_reuse_factor_validation():
     with pytest.raises(ValueError):
         cm.estimate_latency(CFG, 0, DEV)
     with pytest.raises(ValueError):
-        cm.ReuseFactor(-1)
+        cm.estimate_resources(CFG, FMT, -1, DEV)
 
 
 def test_device_profiles():

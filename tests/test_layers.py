@@ -1,5 +1,7 @@
-"""Dense kernel tests for both number representations."""
+"""Op-set and dense-kernel tests for both number representations."""
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,38 +14,57 @@ from fxattn.fxp import FxFormat
 from fxattn.layers import Activation, DenseLayer
 
 
+def linear(m, v):
+    """The dense kernel as a bare W v: no bias, no activation."""
+    zero = np.zeros(m.shape[0])
+    if isinstance(m, fxp.FxArray):
+        zero = fxp.quantize_array(zero, m.fmt)
+    return layers.dense_forward(DenseLayer(m, zero), v)
+
+
 def test_matvec_identity():
     v = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(layers.matvec(np.eye(3), v), v)
+    assert np.array_equal(layers.matmul(np.eye(3), v), v)
+    assert np.array_equal(linear(np.eye(3), v), v)
 
 
 def test_matvec_zero():
-    assert np.array_equal(layers.matvec(np.zeros((2, 3)), np.ones(3)), np.zeros(2))
+    assert np.array_equal(layers.matmul(np.zeros((2, 3)), np.ones(3)), np.zeros(2))
+    assert np.array_equal(linear(np.zeros((2, 3)), np.ones(3)), np.zeros(2))
 
 
 def test_matvec_dimension_mismatch():
+    fmt = FxFormat(8, 8)
     with pytest.raises(ValueError):
-        layers.matvec(np.ones((2, 3)), np.ones(4))
+        linear(np.ones((2, 3)), np.ones(4))
+    with pytest.raises(ValueError):
+        linear(fxp.quantize_array(np.ones((2, 3)), fmt),
+               fxp.quantize_array(np.ones(4), fmt))
 
 
 def test_matvec_fixed_matches_rational_oracle():
     fmt = FxFormat(8, 8)
     rng = np.random.default_rng(21)
     m = fxp.quantize_array(rng.normal(size=(3, 3)), fmt)
-    v = fxp.quantize_array(rng.normal(size=3), fmt)
-    out = layers.matvec(m, v)
-    for i in range(3):
-        exact = sum(
-            Fraction(int(m.raw[i, j]), 256) * Fraction(int(v.raw[j]), 256)
-            for j in range(3)
-        )
-        # one rounding: scaled exact product rounded half-even onto the grid
-        scaled = exact * 256
-        lo = scaled.__floor__()
-        frac = scaled - lo
-        want = lo + (1 if (frac > Fraction(1, 2) or (frac == Fraction(1, 2) and lo % 2)) else 0)
-        want = min(max(want, fmt.raw_min), fmt.raw_max)
-        assert int(out.raw[i]) == want
+    # a batch of rows (..., in_dim): each row is one W v
+    vs = fxp.quantize_array(rng.normal(size=(2, 4, 3)), fmt)
+    out = linear(m, vs)
+    assert out.shape == (2, 4, 3)
+    for idx in np.ndindex(2, 4):
+        v = vs[idx]
+        for i in range(3):
+            exact = sum(
+                Fraction(int(m.raw[i, j]), 256) * Fraction(int(v.raw[j]), 256)
+                for j in range(3)
+            )
+            # one rounding: scaled exact product rounded half-even onto the grid
+            scaled = exact * 256
+            lo = scaled.__floor__()
+            frac = scaled - lo
+            want = lo + (1 if (frac > Fraction(1, 2)
+                               or (frac == Fraction(1, 2) and lo % 2)) else 0)
+            want = min(max(want, fmt.raw_min), fmt.raw_max)
+            assert int(out.raw[idx + (i,)]) == want
 
 
 @given(st.floats(-4, 4), st.data())
@@ -51,8 +72,8 @@ def test_matvec_linearity_float(alpha, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     m = rng.normal(size=(4, 5))
     v = rng.normal(size=5)
-    lhs = layers.matvec(m, alpha * v)
-    rhs = alpha * layers.matvec(m, v)
+    lhs = linear(m, alpha * v)
+    rhs = alpha * linear(m, v)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -65,7 +86,7 @@ def test_fixed_matvec_exhaustive_small():
         v_raw = rng.integers(fmt.raw_min, fmt.raw_max + 1, size=4)
         m = fxp.FxArray(m_raw.astype(np.int64), fmt)
         v = fxp.FxArray(v_raw.astype(np.int64), fmt)
-        out = layers.matvec(m, v)
+        out = linear(m, v)
         for i in range(4):
             acc = int(sum(int(a) * int(b) for a, b in zip(m_raw[i], v_raw)))
             want = fxp._handle_overflow_int(
@@ -107,24 +128,36 @@ def test_dense_shape_validation():
         DenseLayer(np.zeros((3, 4)), np.zeros(2))
 
 
-def test_flatten_row_major():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(layers.flatten(x), [1.0, 2.0, 3.0, 4.0])
-
-
-def test_flatten_15x6_length():
-    assert layers.flatten(np.zeros((15, 6))).shape == (90,)
-
-
-def test_flatten_unflatten_roundtrip():
-    rng = np.random.default_rng(24)
-    x = rng.normal(size=(5, 3))
-    assert np.array_equal(layers.unflatten(layers.flatten(x), 5, 3), x)
-
-
 def test_flatten_fixed():
+    # the model flattens with reshape, which FxArray supports like ndarray
     fmt = FxFormat(8, 8)
     x = fxp.quantize_array(np.arange(6.0).reshape(2, 3) / 4, fmt)
-    flat = layers.flatten(x)
-    assert flat.shape == (6,)
+    flat = x.reshape(-1)
+    assert flat.shape == (6,) and flat.fmt == fmt
     assert np.array_equal(flat.raw, x.raw.reshape(-1))
+    assert np.array_equal(x.reshape(1, -1).raw, [x.raw.reshape(-1)])
+    t = x.swapaxes(-1, -2)
+    assert t.shape == (3, 2) and t.fmt == fmt
+    assert np.array_equal(t.raw, x.raw.T)
+
+
+def test_fixed_softmax_needs_table_config():
+    fmt = FxFormat(8, 8)
+    layer = layers.quantize_dense(
+        DenseLayer(np.eye(2), np.zeros(2), Activation.SOFTMAX), fmt)
+    with pytest.raises(ValueError, match="SoftmaxConfig"):
+        layers.dense_forward(layer, fxp.quantize_array(np.ones(2), fmt))
+
+
+def test_number_mode_dispatch_lives_in_layers():
+    # only layers.py (the op set) and fxp.py (the type itself) may test
+    # whether a tensor is fixed-point; every other module calls the ops
+    src = Path(layers.__file__).parent
+    pattern = re.compile(r"isinstance\([^)]*\bFxArray\b")
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py")) if path.name not in ("layers.py", "fxp.py")
+        for n, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert offenders == []

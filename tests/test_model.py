@@ -138,19 +138,63 @@ def test_fixed_forward_composes_streaming_pipeline():
     qw = model.quantize_weights(w, fmt)
     score_cfg = sm.make_softmax_config(fmt, n_max=cfg.seq_len + 1)
     out_cfg = sm.make_softmax_config(fmt, n_max=cfg.num_classes + 1)
+
+    def dense(layer, v, softmax_cfg=None):
+        # one row at a time, W v with fxp's kernels: independent of the
+        # batched x @ W^T kernel the model runs
+        pre = fxp.fx_add_array(fxp.fx_matmul(layer.weights, v), layer.bias)
+        if layer.activation is L.Activation.RELU:
+            return fxp.fx_relu(pre)
+        if layer.activation is L.Activation.SOFTMAX:
+            return sm.softmax_lut(softmax_cfg, pre)
+        return pre
+
     h = fxp.quantize_array(x, fmt)
     for block in qw.blocks:
         attn = att.run_mha_streaming(cfg.encoder.mha, block.mha, score_cfg, h)
         h = fxp.fx_add_array(h, attn)
-        ff_rows = []
-        for row in att._rows(h):
-            ff_rows.append(L.dense_forward(block.ff2, L.dense_forward(block.ff1, row)))
-        h = fxp.fx_add_array(h, att._stack(ff_rows))
-    flat = L.flatten(h)
+        ff_rows = [dense(block.ff2, dense(block.ff1, h[t])) for t in range(cfg.seq_len)]
+        h = fxp.fx_add_array(h, L.stack(ff_rows))
+    flat = FxArray(h.raw.reshape(-1), fmt)
     for layer in qw.head:
-        flat = L.dense_forward(layer, flat)
-    probs = L.dense_forward(qw.output, flat, softmax_cfg=out_cfg)
+        flat = dense(layer, flat)
+    probs = dense(qw.output, flat, softmax_cfg=out_cfg)
     assert np.array_equal(got, probs.to_float())
+
+
+def test_float_forward_bits_pinned_to_plain_numpy():
+    """Float forward_batch is numpy's arithmetic in this exact order, so its
+    bits must not move when the shared op set changes."""
+    cfg = small_cfg(blocks=2, seq=5)
+    rng = np.random.default_rng(37)
+    w = model.random_weights(cfg, rng)
+    x = rng.normal(size=(7, 5, 6))
+    c = 1.0 / np.sqrt(cfg.encoder.mha.d_k)
+
+    def t(a):
+        return np.swapaxes(a, -1, -2)
+
+    def softmax(v):
+        e = np.exp(v - v.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    h = x
+    for blk in w.blocks:
+        m = blk.mha
+        heads = []
+        for i in range(cfg.encoder.mha.num_heads):
+            q = h @ t(m.w_q[i]) + m.b_q[i]
+            k = h @ t(m.w_k[i]) + m.b_k[i]
+            v = h @ t(m.w_v[i]) + m.b_v[i]
+            heads.append(softmax((q @ t(k)) * c) @ v)
+        h = h + (np.concatenate(heads, axis=-1) @ t(m.w_o) + m.b_o)
+        ff = np.maximum(h @ t(blk.ff1.weights) + blk.ff1.bias, 0.0)
+        h = h + (ff @ t(blk.ff2.weights) + blk.ff2.bias)
+    flat = h.reshape(h.shape[0], -1)
+    for layer in w.head:
+        flat = np.maximum(flat @ t(layer.weights) + layer.bias, 0.0)
+    want = softmax(flat @ t(w.output.weights) + w.output.bias)
+    assert np.array_equal(model.forward_batch(cfg, w, x), want)
 
 
 # ---------------------------------------------------------------------------

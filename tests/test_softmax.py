@@ -151,6 +151,24 @@ def test_batched_equals_rowwise():
         assert np.array_equal(row.raw, batched.raw[i])
 
 
+@pytest.mark.parametrize("spec", ["fixed<20,8>", "fixed<24,8>"])
+def test_keep_zeroes_masked_and_matches_kept_subvector(spec):
+    # a masked element gets raw weight exactly 0 (no clamped exp(-8) leak),
+    # and the kept ones are the softmax of the kept elements alone, even
+    # when a masked element holds the row maximum
+    fmt = fxp.parse_format(spec)
+    cfg = make_cfg(fmt)
+    keep = np.array([True, False, True, True, False, True, False])
+    v = sample_inputs(20, seed=5, length=7)
+    v[:, 1] = 6.0
+    q = fxp.quantize_array(v, fmt)
+    out = sm.softmax_lut(cfg, q, keep)
+    assert np.all(out.raw[:, ~keep] == 0)
+    assert np.array_equal(out.raw[:, keep], sm.softmax_lut(cfg, q[:, keep]).raw)
+    assert np.array_equal(sm.softmax_lut(cfg, q, np.ones(7, dtype=bool)).raw,
+                          sm.softmax_lut(cfg, q).raw)
+
+
 # ---------------------------------------------------------------------------
 # softmax_exact
 # ---------------------------------------------------------------------------
