@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -111,11 +111,7 @@ class MhaConfig:
 
 @dataclass
 class MhaWeights:
-    """Per-head projections plus the output projection.
-
-    Shapes: w_q/w_k (heads, d_k, d_model), w_v (heads, d_v, d_model),
-    matching biases, w_o (d_model, heads*d_v), b_o (d_model,).
-    """
+    """Per-head projections plus the output projection; shapes in :func:`mha_shapes`."""
 
     w_q: Tensor
     b_q: Tensor
@@ -131,47 +127,44 @@ class MhaWeights:
         return (self.w_q, self.b_q), (self.w_k, self.b_k), (self.w_v, self.b_v)
 
     def validate(self, cfg: MhaConfig) -> None:
-        expect = {
-            "w_q": (cfg.num_heads, cfg.d_k, cfg.d_model),
-            "b_q": (cfg.num_heads, cfg.d_k),
-            "w_k": (cfg.num_heads, cfg.d_k, cfg.d_model),
-            "b_k": (cfg.num_heads, cfg.d_k),
-            "w_v": (cfg.num_heads, cfg.d_v, cfg.d_model),
-            "b_v": (cfg.num_heads, cfg.d_v),
-            "w_o": (cfg.d_model, cfg.concat_dim),
-            "b_o": (cfg.d_model,),
-        }
-        for name, shape in expect.items():
-            got = getattr(self, name).shape
-            if tuple(got) != shape:
-                raise ValueError(f"{name}: expected shape {shape}, found {tuple(got)}")
+        for name, shape in mha_shapes(cfg).items():
+            got = tuple(getattr(self, name).shape)
+            if got != shape:
+                raise ValueError(f"{name}: expected shape {shape}, found {got}")
+
+
+def mha_shapes(cfg: MhaConfig) -> dict[str, tuple[int, ...]]:
+    """Each :class:`MhaWeights` field and its shape, in field order.
+
+    The Q/K/V tensors carry a leading heads axis; the output projection
+    maps the concatenated head rows back to d_model.
+    """
+    h = cfg.num_heads
+    return {
+        "w_q": (h, cfg.d_k, cfg.d_model), "b_q": (h, cfg.d_k),
+        "w_k": (h, cfg.d_k, cfg.d_model), "b_k": (h, cfg.d_k),
+        "w_v": (h, cfg.d_v, cfg.d_model), "b_v": (h, cfg.d_v),
+        "w_o": (cfg.d_model, cfg.concat_dim), "b_o": (cfg.d_model,),
+    }
+
+
+def random_tensor(rng: np.random.Generator, shape: tuple[int, ...],
+                  scale: float, bias: bool) -> np.ndarray:
+    """An initial draw: N(0, 0.05) for a bias, N(0, scale/sqrt(fan-in)) for
+    a weight, fan-in being its last axis."""
+    std = 0.05 if bias else scale / math.sqrt(shape[-1])
+    return rng.normal(0.0, std, size=shape)
 
 
 def random_mha_weights(cfg: MhaConfig, rng: np.random.Generator,
                        scale: float = 1.0) -> MhaWeights:
-    def mat(*shape):
-        return rng.normal(0.0, scale / math.sqrt(shape[-1]), size=shape)
-
-    return MhaWeights(
-        w_q=mat(cfg.num_heads, cfg.d_k, cfg.d_model),
-        b_q=rng.normal(0.0, 0.05, size=(cfg.num_heads, cfg.d_k)),
-        w_k=mat(cfg.num_heads, cfg.d_k, cfg.d_model),
-        b_k=rng.normal(0.0, 0.05, size=(cfg.num_heads, cfg.d_k)),
-        w_v=mat(cfg.num_heads, cfg.d_v, cfg.d_model),
-        b_v=rng.normal(0.0, 0.05, size=(cfg.num_heads, cfg.d_v)),
-        w_o=mat(cfg.d_model, cfg.concat_dim),
-        b_o=rng.normal(0.0, 0.05, size=(cfg.d_model,)),
-    )
+    return MhaWeights(**{name: random_tensor(rng, shape, scale, bias=name.startswith("b"))
+                         for name, shape in mha_shapes(cfg).items()})
 
 
 def quantize_mha_weights(w: MhaWeights, fmt: FxFormat) -> MhaWeights:
-    q = fxp.quantize_array
-    return MhaWeights(
-        w_q=q(w.w_q, fmt), b_q=q(w.b_q, fmt),
-        w_k=q(w.w_k, fmt), b_k=q(w.b_k, fmt),
-        w_v=q(w.w_v, fmt), b_v=q(w.b_v, fmt),
-        w_o=q(w.w_o, fmt), b_o=q(w.b_o, fmt),
-    )
+    return MhaWeights(**{f.name: fxp.quantize_array(getattr(w, f.name), fmt)
+                         for f in fields(w)})
 
 
 def score_scale(cfg: MhaConfig, fmt: FxFormat | None):

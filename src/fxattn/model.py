@@ -8,9 +8,10 @@ once per format, activations at every layer boundary.
 
 Weight files are self-describing JSON: a ``config`` header plus a
 ``tensors`` map of named nested decimal arrays stored at 9 significant
-digits (inspectable, diffable, language neutral). Tensor keys follow
-``block{i}.mha.w_q.head{h}``, ``block{i}.ff1.w``, ``head{j}.w``,
-``output.w`` and matching ``b``/biases.
+digits (inspectable, diffable, language neutral). :func:`_tensor_specs` is
+the one place that defines the tensor keys and shapes (attention shapes
+come from :func:`fxattn.attention.mha_shapes`); zero and random
+initialisation, parameter counting, saving and loading all read it.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ import numpy as np
 
 from fxattn import fxp
 from fxattn import layers as L
-from fxattn.attention import MhaConfig, MhaWeights, mha_forward_batch, \
-    quantize_mha_weights, random_mha_weights
+from fxattn.attention import MhaConfig, MhaWeights, mha_forward_batch, mha_shapes, \
+    quantize_mha_weights, random_tensor
 from fxattn.fxp import FxFormat
 from fxattn.layers import Activation, DenseLayer
 from fxattn.softmax import make_softmax_config
@@ -48,7 +49,6 @@ class EncoderBlockConfig:
     ff_dims: tuple[int, int] = (8, 6)
     residual_mha: bool = True
     residual_ff: bool = True
-    layer_norm: bool = False
 
     def __post_init__(self) -> None:
         if len(self.ff_dims) != 2 or min(self.ff_dims) < 1:
@@ -58,8 +58,6 @@ class EncoderBlockConfig:
                 f"residual feed-forward needs ff_dims[1] == d_model "
                 f"({self.ff_dims[1]} != {self.mha.d_model})"
             )
-        if self.layer_norm:
-            raise ValueError("layer normalization is not supported")
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,8 @@ class ModelConfig:
                 "tracks feed the encoder directly, so d_model must equal num_features")
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
+        if min(self.head_dims, default=1) < 1:
+            raise ValueError(f"head_dims must be positive, got {self.head_dims}")
 
     @property
     def d_model(self) -> int:
@@ -110,25 +110,81 @@ class ModelWeights:
 
 
 # ---------------------------------------------------------------------------
-# parameter accounting
+# the tensor schema and the constructors over it
 # ---------------------------------------------------------------------------
+
+# the attention output projection is stored whole, Q/K/V one key per head
+_MHA_WHOLE = ("w_o", "b_o")
+
+
+def _tensor_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Every tensor of the model as (weight-file key, shape), in the order
+    random_weights draws them and _assemble consumes them.
+
+    Per-head tensors are listed heads innermost (``w_q.head0``,
+    ``w_q.head1``, ``b_q.head0``, ...): drawing them one by one consumes
+    the random stream exactly as one (heads, ...) draw does.
+    """
+    m = cfg.encoder.mha
+    ff0, ff1 = cfg.encoder.ff_dims
+    specs: list[tuple[str, tuple[int, ...]]] = []
+
+    def dense(name, out, inp):
+        specs.extend([(f"{name}.w", (out, inp)), (f"{name}.b", (out,))])
+
+    for i in range(cfg.num_encoder_blocks):
+        for name, shape in mha_shapes(m).items():
+            if name in _MHA_WHOLE:
+                specs.append((f"block{i}.mha.{name}", shape))
+            else:
+                specs += [(f"block{i}.mha.{name}.head{h}", shape[1:])
+                          for h in range(m.num_heads)]
+        dense(f"block{i}.ff1", ff0, m.d_model)
+        dense(f"block{i}.ff2", ff1, ff0)
+    dims = (cfg.flatten_dim, *cfg.head_dims, cfg.num_classes)
+    names = [f"head{j}" for j in range(1, len(cfg.head_dims) + 1)] + ["output"]
+    for name, inp, out in zip(names, dims, dims[1:]):
+        dense(name, out, inp)
+    return specs
+
+
+def _assemble(cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelWeights:
+    """ModelWeights from a key -> array map holding every _tensor_specs key
+    (in any order); Q/K/V heads are stacked back into one tensor each."""
+    it = iter([arrays[key] for key, _ in _tensor_specs(cfg)])
+    m = cfg.encoder.mha
+
+    def mha():
+        return MhaWeights(**{
+            name: next(it) if name in _MHA_WHOLE
+            else np.stack([next(it) for _ in range(m.num_heads)])
+            for name in mha_shapes(m)})
+
+    def dense(act):
+        return DenseLayer(next(it), next(it), act)
+
+    blocks = [BlockWeights(mha(), dense(Activation.RELU), dense(Activation.NONE))
+              for _ in range(cfg.num_encoder_blocks)]
+    head = [dense(Activation.RELU) for _ in cfg.head_dims]
+    return ModelWeights(blocks=blocks, head=head, output=dense(Activation.SOFTMAX))
+
+
+def _tensor_map(cfg: ModelConfig, w: ModelWeights) -> dict[str, np.ndarray]:
+    """The key -> array map of w; the inverse of _assemble."""
+    parts = []
+    for block in w.blocks:
+        for name in mha_shapes(cfg.encoder.mha):
+            t = getattr(block.mha, name)
+            parts += [t] if name in _MHA_WHOLE else list(t)
+        parts += [block.ff1.weights, block.ff1.bias, block.ff2.weights, block.ff2.bias]
+    for layer in [*w.head, w.output]:
+        parts += [layer.weights, layer.bias]
+    return dict(zip([key for key, _ in _tensor_specs(cfg)], parts, strict=True))
+
 
 def param_count(cfg: ModelConfig) -> int:
     """Total trainable scalars (weights + biases) for the configured shapes."""
-    m = cfg.encoder.mha
-    mha = (
-        2 * m.num_heads * (m.d_model * m.d_k + m.d_k)       # q, k projections
-        + m.num_heads * (m.d_model * m.d_v + m.d_v)         # v projection
-        + m.concat_dim * m.d_model + m.d_model              # output projection
-    )
-    ff0, ff1 = cfg.encoder.ff_dims
-    ff = m.d_model * ff0 + ff0 + ff0 * ff1 + ff1
-    total = cfg.num_encoder_blocks * (mha + ff)
-    width = cfg.flatten_dim
-    for h in cfg.head_dims:
-        total += width * h + h
-        width = h
-    total += width * cfg.num_classes + cfg.num_classes
+    total = sum(math.prod(shape) for _, shape in _tensor_specs(cfg))
     if total != PUBLISHED_PARAM_COUNT:
         log.info(
             "parameter count %d differs from the published reference %d "
@@ -136,66 +192,15 @@ def param_count(cfg: ModelConfig) -> int:
     return total
 
 
-# ---------------------------------------------------------------------------
-# weight constructors
-# ---------------------------------------------------------------------------
-
-def _zero_mha(m: MhaConfig) -> MhaWeights:
-    return MhaWeights(
-        w_q=np.zeros((m.num_heads, m.d_k, m.d_model)),
-        b_q=np.zeros((m.num_heads, m.d_k)),
-        w_k=np.zeros((m.num_heads, m.d_k, m.d_model)),
-        b_k=np.zeros((m.num_heads, m.d_k)),
-        w_v=np.zeros((m.num_heads, m.d_v, m.d_model)),
-        b_v=np.zeros((m.num_heads, m.d_v)),
-        w_o=np.zeros((m.d_model, m.concat_dim)),
-        b_o=np.zeros(m.d_model),
-    )
-
-
 def zero_weights(cfg: ModelConfig) -> ModelWeights:
-    m = cfg.encoder.mha
-    ff0, ff1 = cfg.encoder.ff_dims
-    blocks = [
-        BlockWeights(
-            mha=_zero_mha(m),
-            ff1=DenseLayer(np.zeros((ff0, m.d_model)), np.zeros(ff0), Activation.RELU),
-            ff2=DenseLayer(np.zeros((ff1, ff0)), np.zeros(ff1), Activation.NONE),
-        )
-        for _ in range(cfg.num_encoder_blocks)
-    ]
-    head, width = [], cfg.flatten_dim
-    for h in cfg.head_dims:
-        head.append(DenseLayer(np.zeros((h, width)), np.zeros(h), Activation.RELU))
-        width = h
-    output = DenseLayer(np.zeros((cfg.num_classes, width)), np.zeros(cfg.num_classes),
-                        Activation.SOFTMAX)
-    return ModelWeights(blocks=blocks, head=head, output=output)
+    return _assemble(cfg, {key: np.zeros(shape) for key, shape in _tensor_specs(cfg)})
 
 
 def random_weights(cfg: ModelConfig, rng: np.random.Generator,
                    scale: float = 1.0) -> ModelWeights:
-    m = cfg.encoder.mha
-    ff0, ff1 = cfg.encoder.ff_dims
-
-    def dense(out, inp, act):
-        return DenseLayer(rng.normal(0, scale / math.sqrt(inp), size=(out, inp)),
-                          rng.normal(0, 0.05, size=out), act)
-
-    blocks = [
-        BlockWeights(
-            mha=random_mha_weights(m, rng, scale),
-            ff1=dense(ff0, m.d_model, Activation.RELU),
-            ff2=dense(ff1, ff0, Activation.NONE),
-        )
-        for _ in range(cfg.num_encoder_blocks)
-    ]
-    head, width = [], cfg.flatten_dim
-    for h in cfg.head_dims:
-        head.append(dense(h, width, Activation.RELU))
-        width = h
-    output = dense(cfg.num_classes, width, Activation.SOFTMAX)
-    return ModelWeights(blocks=blocks, head=head, output=output)
+    # once split per head, every bias is a vector and every weight a matrix
+    return _assemble(cfg, {key: random_tensor(rng, shape, scale, bias=len(shape) == 1)
+                           for key, shape in _tensor_specs(cfg)})
 
 
 # Analytic construction constants, calibrated once against the synthetic
@@ -336,7 +341,7 @@ def _config_to_dict(cfg: ModelConfig) -> dict:
         "ff_dims": list(cfg.encoder.ff_dims),
         "residual_mha": cfg.encoder.residual_mha,
         "residual_ff": cfg.encoder.residual_ff,
-        "layer_norm": cfg.encoder.layer_norm,
+        "layer_norm": False,
         "head_dims": list(cfg.head_dims),
         "num_classes": cfg.num_classes,
         "softmax_table_size": cfg.softmax_table_size,
@@ -344,78 +349,48 @@ def _config_to_dict(cfg: ModelConfig) -> dict:
     }
 
 
-def _config_from_dict(d: dict) -> ModelConfig:
+def _header(d: dict, name: str, kinds: tuple[type, ...] = (int,), default=None):
+    """A scalar header field whose JSON type is one of ``kinds``: an integer
+    field refuses 2.0 and true, a flag refuses "no"."""
+    value = d[name] if default is None else d.get(name, default)
+    if type(value) not in kinds:
+        raise WeightFormatError(f"config field '{name}' must be "
+                                f"{' or '.join(k.__name__ for k in kinds)}, found {value!r}")
+    return value
+
+
+def _header_ints(d: dict, name: str) -> tuple[int, ...]:
+    value = d[name]
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise WeightFormatError(
+            f"config field '{name}' must be a list of integers, found {value!r}")
+    return tuple(value)
+
+
+def _config_from_dict(d) -> ModelConfig:
+    if not isinstance(d, dict):
+        raise WeightFormatError("config header must be a map of fields")
+    if d.get("layer_norm", False) is not False:
+        raise WeightFormatError(
+            "config field 'layer_norm': layer normalization is not supported")
     try:
-        mha = MhaConfig(d_model=d["d_model"], num_heads=d["num_heads"],
-                        seq_len=d["seq_len"], d_k=d["d_k"], d_v=d["d_v"])
+        mha = MhaConfig(d_model=_header(d, "d_model"), num_heads=_header(d, "num_heads"),
+                        seq_len=_header(d, "seq_len"),
+                        d_k=_header(d, "d_k"), d_v=_header(d, "d_v"))
         encoder = EncoderBlockConfig(
-            mha=mha, ff_dims=tuple(d["ff_dims"]),
-            residual_mha=d["residual_mha"], residual_ff=d["residual_ff"],
-            layer_norm=d.get("layer_norm", False))
+            mha=mha, ff_dims=_header_ints(d, "ff_dims"),
+            residual_mha=_header(d, "residual_mha", (bool,)),
+            residual_ff=_header(d, "residual_ff", (bool,)))
         return ModelConfig(
-            num_encoder_blocks=d["num_encoder_blocks"], encoder=encoder,
-            head_dims=tuple(d["head_dims"]), num_classes=d["num_classes"],
-            seq_len=d["seq_len"], num_features=d["num_features"],
-            softmax_table_size=d.get("softmax_table_size", 1024),
-            softmax_exp_lo=d.get("softmax_exp_lo", -8.0))
+            num_encoder_blocks=_header(d, "num_encoder_blocks"), encoder=encoder,
+            head_dims=_header_ints(d, "head_dims"), num_classes=_header(d, "num_classes"),
+            seq_len=_header(d, "seq_len"), num_features=_header(d, "num_features"),
+            softmax_table_size=_header(d, "softmax_table_size", default=1024),
+            softmax_exp_lo=_header(d, "softmax_exp_lo", (float, int), default=-8.0))
     except KeyError as exc:
         raise WeightFormatError(f"config header missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise WeightFormatError(f"bad config header: {exc}") from None
-
-
-def _tensor_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    m = cfg.encoder.mha
-    ff0, ff1 = cfg.encoder.ff_dims
-    specs = []
-    for i in range(cfg.num_encoder_blocks):
-        for h in range(m.num_heads):
-            specs += [
-                (f"block{i}.mha.w_q.head{h}", (m.d_k, m.d_model)),
-                (f"block{i}.mha.b_q.head{h}", (m.d_k,)),
-                (f"block{i}.mha.w_k.head{h}", (m.d_k, m.d_model)),
-                (f"block{i}.mha.b_k.head{h}", (m.d_k,)),
-                (f"block{i}.mha.w_v.head{h}", (m.d_v, m.d_model)),
-                (f"block{i}.mha.b_v.head{h}", (m.d_v,)),
-            ]
-        specs += [
-            (f"block{i}.mha.w_o", (m.d_model, m.concat_dim)),
-            (f"block{i}.mha.b_o", (m.d_model,)),
-            (f"block{i}.ff1.w", (ff0, m.d_model)),
-            (f"block{i}.ff1.b", (ff0,)),
-            (f"block{i}.ff2.w", (ff1, ff0)),
-            (f"block{i}.ff2.b", (ff1,)),
-        ]
-    width = cfg.flatten_dim
-    for j, hdim in enumerate(cfg.head_dims, start=1):
-        specs += [(f"head{j}.w", (hdim, width)), (f"head{j}.b", (hdim,))]
-        width = hdim
-    specs += [("output.w", (cfg.num_classes, width)), ("output.b", (cfg.num_classes,))]
-    return specs
-
-
-def _tensor_map(cfg: ModelConfig, w: ModelWeights) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for i, block in enumerate(w.blocks):
-        for h in range(cfg.encoder.mha.num_heads):
-            out[f"block{i}.mha.w_q.head{h}"] = block.mha.w_q[h]
-            out[f"block{i}.mha.b_q.head{h}"] = block.mha.b_q[h]
-            out[f"block{i}.mha.w_k.head{h}"] = block.mha.w_k[h]
-            out[f"block{i}.mha.b_k.head{h}"] = block.mha.b_k[h]
-            out[f"block{i}.mha.w_v.head{h}"] = block.mha.w_v[h]
-            out[f"block{i}.mha.b_v.head{h}"] = block.mha.b_v[h]
-        out[f"block{i}.mha.w_o"] = block.mha.w_o
-        out[f"block{i}.mha.b_o"] = block.mha.b_o
-        out[f"block{i}.ff1.w"] = block.ff1.weights
-        out[f"block{i}.ff1.b"] = block.ff1.bias
-        out[f"block{i}.ff2.w"] = block.ff2.weights
-        out[f"block{i}.ff2.b"] = block.ff2.bias
-    for j, layer in enumerate(w.head, start=1):
-        out[f"head{j}.w"] = layer.weights
-        out[f"head{j}.b"] = layer.bias
-    out["output.w"] = w.output.weights
-    out["output.b"] = w.output.bias
-    return out
 
 
 def _round9(x: float) -> float:
@@ -423,8 +398,7 @@ def _round9(x: float) -> float:
 
 
 def _round_nested(a: np.ndarray):
-    return np.vectorize(_round9, otypes=[float])(a).tolist() if a.size \
-        else np.zeros(a.shape).tolist()
+    return np.vectorize(_round9, otypes=[float])(a).tolist()
 
 
 def save_weights(path, cfg: ModelConfig, w: ModelWeights) -> None:
@@ -448,45 +422,27 @@ def load_weights(path) -> tuple[ModelConfig, ModelWeights]:
         raise WeightFormatError(f"{path}: expected a config/tensors document")
     cfg = _config_from_dict(doc["config"])
     tensors = doc["tensors"]
+    if not isinstance(tensors, dict):
+        raise WeightFormatError(f"{path}: field 'tensors' must be a map of named arrays")
 
     arrays: dict[str, np.ndarray] = {}
-    expected = _tensor_specs(cfg)
-    for name, shape in expected:
+    for name, shape in _tensor_specs(cfg):
         if name not in tensors:
             raise WeightFormatError(f"{path}: missing tensor '{name}'")
-        try:
-            arr = np.array(tensors[name], dtype=np.float64)
-        except (TypeError, ValueError):
+        try:  # check the type first: a float64 cast would turn "0.5" into 0.5
+            arr = np.array(tensors[name])
+            if arr.dtype.kind not in "if":
+                raise ValueError
+        except ValueError:
             raise WeightFormatError(f"{path}: tensor '{name}' is not numeric") from None
+        arr = arr.astype(np.float64)
         if arr.shape != shape:
             raise WeightFormatError(
                 f"{path}: tensor '{name}': expected shape {shape}, found {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise WeightFormatError(f"{path}: tensor '{name}' holds a non-finite value")
         arrays[name] = arr
-    extra = set(tensors) - {name for name, _ in expected}
+    extra = set(tensors) - set(arrays)
     if extra:
         raise WeightFormatError(f"{path}: unexpected tensor '{sorted(extra)[0]}'")
-
-    m = cfg.encoder.mha
-    blocks = []
-    for i in range(cfg.num_encoder_blocks):
-        mha = MhaWeights(
-            w_q=np.stack([arrays[f"block{i}.mha.w_q.head{h}"] for h in range(m.num_heads)]),
-            b_q=np.stack([arrays[f"block{i}.mha.b_q.head{h}"] for h in range(m.num_heads)]),
-            w_k=np.stack([arrays[f"block{i}.mha.w_k.head{h}"] for h in range(m.num_heads)]),
-            b_k=np.stack([arrays[f"block{i}.mha.b_k.head{h}"] for h in range(m.num_heads)]),
-            w_v=np.stack([arrays[f"block{i}.mha.w_v.head{h}"] for h in range(m.num_heads)]),
-            b_v=np.stack([arrays[f"block{i}.mha.b_v.head{h}"] for h in range(m.num_heads)]),
-            w_o=arrays[f"block{i}.mha.w_o"],
-            b_o=arrays[f"block{i}.mha.b_o"],
-        )
-        blocks.append(BlockWeights(
-            mha=mha,
-            ff1=DenseLayer(arrays[f"block{i}.ff1.w"], arrays[f"block{i}.ff1.b"],
-                           Activation.RELU),
-            ff2=DenseLayer(arrays[f"block{i}.ff2.w"], arrays[f"block{i}.ff2.b"],
-                           Activation.NONE),
-        ))
-    head = [DenseLayer(arrays[f"head{j}.w"], arrays[f"head{j}.b"], Activation.RELU)
-            for j in range(1, len(cfg.head_dims) + 1)]
-    output = DenseLayer(arrays["output.w"], arrays["output.b"], Activation.SOFTMAX)
-    return cfg, ModelWeights(blocks=blocks, head=head, output=output)
+    return cfg, _assemble(cfg, arrays)

@@ -60,6 +60,21 @@ def test_infer_mismatched_weights_names_tensor(tmp_path, run_cli):
     assert "head2.w" in out.stderr
 
 
+def test_infer_malformed_header_is_diagnosed(tmp_path, run_cli):
+    import json
+    run_cli("gen-data", "--n", "20", "--seed", "1", "--out", str(tmp_path))
+    run_cli("make-weights", "--out", str(tmp_path))
+    wpath = tmp_path / "weights.json"
+    doc = json.loads(wpath.read_text())
+    doc["config"]["num_heads"] = 2.0
+    wpath.write_text(json.dumps(doc))
+    out = run_cli("infer", "--weights", str(wpath),
+                  "--data", str(tmp_path / "dataset.csv"), "--out", str(tmp_path))
+    assert out.returncode == 1
+    assert "error:" in out.stderr and "num_heads" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_full_flow_and_reuse_csv(tmp_path, run_cli):
     assert run_cli("gen-data", "--n", "40", "--seed", "3",
                    "--out", str(tmp_path)).returncode == 0

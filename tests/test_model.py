@@ -1,4 +1,5 @@
 """Full-model forward passes, weight file round trips, analytic constructor."""
+import hashlib
 import json
 
 import numpy as np
@@ -37,10 +38,10 @@ def test_param_count_headless_matches_hand_sum():
     assert model.param_count(cfg) == 2912 + 528 + 136 + 27
 
 
-def test_config_rejects_layer_norm():
-    mha = att.MhaConfig(d_model=6, num_heads=2, seq_len=15)
-    with pytest.raises(ValueError, match="layer normalization"):
-        model.EncoderBlockConfig(mha=mha, layer_norm=True)
+@pytest.mark.parametrize("head_dims", [(-1,), (0,), (8, 0)])
+def test_config_rejects_nonpositive_head_dims(head_dims):
+    with pytest.raises(ValueError, match="head_dims"):
+        ModelConfig(head_dims=head_dims)
 
 
 def test_config_residual_dim_check():
@@ -332,3 +333,117 @@ def test_unparseable_file(tmp_path):
     path.write_text('{"config": {')
     with pytest.raises(WeightFormatError, match="unparseable"):
         model.load_weights(path)
+
+
+def saved_doc(tmp_path, seed=42):
+    """A small model saved to disk; returns (path, parsed document)."""
+    cfg = small_cfg()
+    path = tmp_path / "w.json"
+    model.save_weights(path, cfg, model.random_weights(cfg, np.random.default_rng(seed)))
+    return path, json.loads(path.read_text())
+
+
+def test_config_rejects_layer_norm(tmp_path):
+    path, doc = saved_doc(tmp_path)
+    assert doc["config"]["layer_norm"] is False
+    doc["config"]["layer_norm"] = True
+    path.write_text(json.dumps(doc))
+    with pytest.raises(WeightFormatError, match="layer normalization"):
+        model.load_weights(path)
+
+
+@pytest.mark.parametrize("tensors", [5, None, [1.0]])
+def test_tensors_field_must_be_a_map(tmp_path, tensors):
+    path, doc = saved_doc(tmp_path)
+    doc["tensors"] = tensors
+    path.write_text(json.dumps(doc))
+    with pytest.raises(WeightFormatError, match="'tensors'"):
+        model.load_weights(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_heads", 2.0), ("num_heads", True), ("d_k", 3.0), ("num_encoder_blocks", 1.0),
+    ("softmax_table_size", 1024.0), ("head_dims", [8, 4.0]), ("ff_dims", 8),
+    ("residual_mha", "no"), ("softmax_exp_lo", "x"),
+])
+def test_mistyped_header_field_named(tmp_path, field, value):
+    path, doc = saved_doc(tmp_path)
+    doc["config"][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(WeightFormatError, match=f"'{field}'"):
+        model.load_weights(path)
+
+
+@pytest.mark.parametrize("key, value", [("output.b", float("nan")),
+                                        ("block0.mha.w_q.head1", float("inf")),
+                                        ("head2.w", float("-inf"))])
+def test_non_finite_tensor_rejected(tmp_path, key, value):
+    path, doc = saved_doc(tmp_path)
+    t = np.array(doc["tensors"][key])
+    t.flat[0] = value
+    doc["tensors"][key] = t.tolist()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(WeightFormatError, match=f"'{key}' holds a non-finite value"):
+        model.load_weights(path)
+
+
+@pytest.mark.parametrize("value", [["0.5", "1", "2"], [True, False, True],
+                                   [[1.0], [2.0], [3.0, 4.0]], {"a": 1}])
+def test_non_numeric_tensor_rejected(tmp_path, value):
+    path, doc = saved_doc(tmp_path)
+    doc["tensors"]["output.b"] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(WeightFormatError, match="'output.b' is not numeric"):
+        model.load_weights(path)
+
+
+# ---------------------------------------------------------------------------
+# the weight-file layout, pinned
+# ---------------------------------------------------------------------------
+
+# sha256 of save_weights' bytes for the default geometry, recorded before the
+# tensor schema was written once; any change to a key, a shape, the head
+# split or the random draw order moves them
+PINNED_FILE_SHA256 = {
+    "random": "59b3d7680a87dadb5379220aba7c5cd45d89f6f7d60167ccc55fe135a8e3ad36",
+    "zero": "6dcc9dc7f383ff7a0ecf6e1ba3fb8154f3908866f89bb09937e0691361252647",
+    "analytic": "bc4636b86358ecefa528994a5aa0f67ad921aeb74b3b7fe26f1620f9ab52c3bb",
+}
+PINNED_MHA_SHA256 = "f098852d844edb9559aa03dc90e3fd80a8dddba495481020767cd12b146e473e"
+
+GEOMETRIES = {
+    "default": ModelConfig(),
+    "headless": ModelConfig(num_encoder_blocks=0),
+    "d_k=5,d_v=4": ModelConfig(encoder=model.EncoderBlockConfig(
+        mha=att.MhaConfig(d_model=6, num_heads=2, seq_len=15, d_k=5, d_v=4))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_FILE_SHA256))
+def test_weight_file_bytes_pinned(tmp_path, kind):
+    cfg = ModelConfig()
+    w = {"random": lambda: model.random_weights(cfg, np.random.default_rng([20240601, 1])),
+         "zero": lambda: model.zero_weights(cfg),
+         "analytic": lambda: model.make_analytic_weights(cfg)}[kind]()
+    path = tmp_path / "w.json"
+    model.save_weights(path, cfg, w)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_FILE_SHA256[kind]
+
+
+def test_random_mha_weights_pinned():
+    cfg = att.MhaConfig(d_model=6, num_heads=3, seq_len=4, d_k=4, d_v=5)
+    w = att.random_mha_weights(cfg, np.random.default_rng(7))
+    h = hashlib.sha256()
+    for name in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o"):
+        h.update(np.ascontiguousarray(getattr(w, name), dtype="<f8").tobytes())
+    assert h.hexdigest() == PINNED_MHA_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_param_count_equals_saved_tensor_sizes(tmp_path, name):
+    cfg = GEOMETRIES[name]
+    path = tmp_path / "w.json"
+    model.save_weights(path, cfg, model.random_weights(cfg, np.random.default_rng(3)))
+    tensors = json.loads(path.read_text())["tensors"]
+    assert model.param_count(cfg) == sum(np.size(t) for t in tensors.values())
+
