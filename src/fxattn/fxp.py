@@ -9,15 +9,31 @@ Two layers live here:
 
 * scalar :class:`FxValue` operations, written with exact Python integers;
 * :class:`FxArray` kernels over numpy arrays of raw integers, used by the
-  linear-algebra and attention code. The array kernels run on ``int64``
-  when the exact intermediate provably fits in 64 bits and transparently
-  fall back to arbitrary-precision object arrays otherwise, so both layers
-  are bit-identical by construction (and tested to be).
+  linear-algebra and attention code. They are bit-identical to the scalar
+  layer by construction (and tested to be).
 
 Accumulation discipline: dot products accumulate the exact double-width
 integer sum and round once at the end. Bias terms are added afterwards as
 exact raw additions followed by overflow handling, never inside the
 rounded accumulator.
+
+Array arithmetic runs in the cheapest of three tiers that holds every
+intermediate exactly:
+
+* float64, when a sum of products is bounded below 2**53: then every
+  partial sum is an integer float64 represents exactly, in any summation
+  order, so BLAS products and ``np.rint``/``np.floor`` give the exact
+  bits. Products and rounding run in this tier up to 24 bits for
+  90-term dot products and up to 27 bits for elementwise products;
+* int64, below 2**62, with shift-based rounding;
+* arbitrary-precision Python ints in object arrays, otherwise; formats
+  above 60 bits always run here.
+
+The tiers rest on one invariant: every raw of an :class:`FxArray` lies in
+its format's range, so ``|raw| <= 2**(total_bits - 1)``. From it the
+format width and the reduction length bound each intermediate without
+looking at the data. Only products in formats too wide for that bound
+(up to 60 bits) scan their operands, once, to pick float64 or int64.
 """
 from __future__ import annotations
 
@@ -226,14 +242,22 @@ def exact_value(v: FxValue) -> Fraction:
 # array layer
 # ---------------------------------------------------------------------------
 
-# int64 intermediates are considered safe below this magnitude; anything that
-# could exceed it is recomputed on arbitrary-precision object arrays.
+
+# Exact integer intermediates fit float64 below _FLOAT_EXACT and int64 below
+# _INT64_SAFE; anything that may exceed both runs on object arrays.
+_FLOAT_EXACT = 1 << 53
 _INT64_SAFE = 1 << 62
 
 
 @dataclass
 class FxArray:
-    """A tensor of raw integers sharing one format (dtype int64 or object)."""
+    """A tensor of raw integers sharing one format (dtype int64 or object).
+
+    Invariant: every raw lies in ``[fmt.raw_min, fmt.raw_max]``. The kernels
+    rely on it to bound their intermediates from the format width alone, and
+    every producer in this package (:func:`quantize_array` and each kernel)
+    keeps it. Raws are int64 up to 60 bits and Python ints above.
+    """
 
     raw: np.ndarray
     fmt: FxFormat
@@ -266,36 +290,72 @@ def _as_object(a: np.ndarray) -> np.ndarray:
 
 
 def _max_abs(a: np.ndarray) -> int:
-    if a.size == 0:
-        return 0
-    if a.dtype == object:
-        return max(abs(int(v)) for v in a.flat)
-    return int(np.max(np.abs(a)))
+    return int(np.max(np.abs(a))) if a.size else 0
+
+
+def _product_dtype(a: np.ndarray, b: np.ndarray, fmt: FxFormat, k: int):
+    """The cheapest exact dtype for sums of ``k`` products of ``a`` and ``b``.
+
+    float64 when the sum is bounded below 2**53, so that every partial sum
+    is an integer float64 holds exactly in any summation order; int64 below
+    2**62; object otherwise. The format width proves the float64 bound
+    without looking at the data while 2**(2*total_bits - 2) * k < 2**53;
+    past that, up to 60 bits, one scan of both operands decides.
+    """
+    if a.dtype == object or b.dtype == object or fmt.total_bits > 60:
+        return object
+    k = max(k, 1)
+    if k << (2 * fmt.total_bits - 2) < _FLOAT_EXACT:
+        return np.float64
+    bound = _max_abs(a) * max(_max_abs(b), 1) * k
+    if bound < _FLOAT_EXACT:
+        return np.float64
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+def _scaled(a: np.ndarray, fmt: FxFormat) -> np.ndarray:
+    """``a * 2**-frac_bits`` in float64, exact for integers below 2**53."""
+    return a * math.ldexp(1.0, -fmt.frac_bits)
 
 
 def _shift_round_array(p: np.ndarray, shift: int, rounding: Rounding) -> np.ndarray:
     if shift == 0:
         return p
-    q = p >> shift
     if rounding is Rounding.TRUNCATE:
-        return q
-    r = p - (q << shift)
-    half = 1 << (shift - 1)
-    inc = (r > half) | ((r == half) & ((q & 1) == 1))
-    if p.dtype == object:
-        return q + np.where(inc.astype(bool), 1, 0)
-    return q + inc.astype(np.int64)
+        return p >> shift
+    # adding half - 1 carries into bit `shift` exactly when the remainder
+    # exceeds half; the kept part's low bit decides a tie towards even
+    return (p + ((1 << (shift - 1)) - 1) + ((p >> shift) & 1)) >> shift
 
 
 def _handle_overflow_array(v: np.ndarray, fmt: FxFormat) -> np.ndarray:
+    """Saturate or wrap ``v`` into ``fmt``'s range, in place: ``v`` is consumed."""
+    # a ufunc hands back a 0-d result as a scalar, and a bare int must stay
+    # a Python int above 60 bits
+    v = np.asarray(v, dtype=object if fmt.total_bits > 60 else None)
     if fmt.overflow is Overflow.SATURATE:
-        out = np.minimum(np.maximum(v, fmt.raw_min), fmt.raw_max)
+        np.clip(v, fmt.raw_min, fmt.raw_max, out=v)
     else:
         half = 1 << (fmt.total_bits - 1)
-        out = ((v + half) & ((1 << fmt.total_bits) - 1)) - half
+        v += half
+        v &= (1 << fmt.total_bits) - 1
+        v -= half
     if v.dtype == object and fmt.total_bits <= 60:
-        return out.astype(np.int64)
-    return out
+        return v.astype(np.int64)
+    return v
+
+
+def _round_products(p: np.ndarray, fmt: FxFormat) -> np.ndarray:
+    """Exact integer products (``2 * frac_bits`` fraction bits) rounded to raws of ``fmt``."""
+    return _handle_overflow_array(_shift_round_array(p, fmt.frac_bits, fmt.rounding), fmt)
+
+
+def _round_scaled(x: np.ndarray, fmt: FxFormat) -> np.ndarray:
+    """Exact float64 products, already scaled by ``2**-frac_bits``, rounded to raws."""
+    q = np.empty(x.shape, dtype=np.int64)
+    rnd = np.rint if fmt.rounding is Rounding.ROUND_EVEN else np.floor
+    rnd(x, out=q, casting="unsafe")  # |x| < 2**53, so the cast is exact
+    return _handle_overflow_array(q, fmt)
 
 
 def quantize_array(x: np.ndarray, fmt: FxFormat) -> FxArray:
@@ -323,9 +383,8 @@ def _check_fmt(a: FxArray, b: FxArray) -> FxFormat:
 def fx_add_array(a: FxArray, b: FxArray) -> FxArray:
     fmt = _check_fmt(a, b)
     ar, br = a.raw, b.raw
-    if ar.dtype != object and br.dtype != object:
-        if _max_abs(ar) + _max_abs(br) >= _INT64_SAFE or fmt.total_bits > 60:
-            ar, br = _as_object(ar), _as_object(br)
+    if fmt.total_bits > 60:  # up to 60 bits two in-range raws sum far below 2**62
+        ar, br = _as_object(ar), _as_object(br)
     return FxArray(_handle_overflow_array(ar + br, fmt), fmt)
 
 
@@ -333,11 +392,14 @@ def fx_mul_array(a: FxArray, b: FxArray) -> FxArray:
     """Elementwise fx_mul with broadcasting."""
     fmt = _check_fmt(a, b)
     ar, br = a.raw, b.raw
-    if ar.dtype != object and br.dtype != object:
-        if _max_abs(ar) * max(_max_abs(br), 1) >= _INT64_SAFE or fmt.total_bits > 60:
-            ar, br = _as_object(ar), _as_object(br)
-    q = _shift_round_array(ar * br, fmt.frac_bits, fmt.rounding)
-    return FxArray(_handle_overflow_array(q, fmt), fmt)
+    dtype = _product_dtype(ar, br, fmt, 1)
+    if dtype is np.float64:
+        if ar.size < br.size:  # scale the smaller operand
+            ar, br = br, ar
+        return FxArray(_round_scaled(ar * _scaled(br, fmt), fmt), fmt)
+    if dtype is object:
+        ar, br = _as_object(ar), _as_object(br)
+    return FxArray(_round_products(ar * br, fmt), fmt)
 
 
 def fx_matmul(a: FxArray, b: FxArray) -> FxArray:
@@ -350,25 +412,30 @@ def fx_matmul(a: FxArray, b: FxArray) -> FxArray:
     """
     fmt = _check_fmt(a, b)
     ar, br = a.raw, b.raw
-    k = ar.shape[-1]
-    if ar.dtype != object and br.dtype != object:
-        bound = _max_abs(ar) * max(_max_abs(br), 1) * max(k, 1)
-        if bound >= _INT64_SAFE or fmt.total_bits > 60:
-            ar, br = _as_object(ar), _as_object(br)
-    acc = ar @ br
-    q = _shift_round_array(np.asarray(acc), fmt.frac_bits, fmt.rounding)
-    return FxArray(_handle_overflow_array(q, fmt), fmt)
+    dtype = _product_dtype(ar, br, fmt, ar.shape[-1])
+    if dtype is np.float64:
+        af, bf = ar.astype(np.float64), _scaled(br, fmt)
+        if af.ndim == 2:
+            # one gemm over many rows would start BLAS threads, which contend
+            # with the worker processes of a sweep; a stack of row products
+            # runs each product on the calling thread
+            acc = (af[:, None, :] @ bf)[:, 0]
+        else:
+            acc = af @ bf
+        return FxArray(_round_scaled(acc, fmt), fmt)
+    if dtype is object:
+        ar, br = _as_object(ar), _as_object(br)
+    return FxArray(_round_products(ar @ br, fmt), fmt)
 
 
 def fx_sum(a: FxArray, axis: int = -1) -> FxArray:
     """Exact sum along an axis followed by one overflow handling (no rounding)."""
     ar = a.raw
-    n = ar.shape[axis] if ar.ndim else 1
-    if ar.dtype != object:
-        if _max_abs(ar) * max(n, 1) >= _INT64_SAFE or a.fmt.total_bits > 60:
-            ar = _as_object(ar)
+    n = max(ar.shape[axis] if ar.ndim else 1, 1)
+    if a.fmt.total_bits > 60 or n << (a.fmt.total_bits - 1) >= _INT64_SAFE:
+        ar = _as_object(ar)
     s = ar.sum(axis=axis)
-    return FxArray(_handle_overflow_array(np.asarray(s), a.fmt), a.fmt)
+    return FxArray(_handle_overflow_array(s, a.fmt), a.fmt)
 
 
 def fx_relu(a: FxArray) -> FxArray:

@@ -412,6 +412,11 @@ def save_weights(path, cfg: ModelConfig, w: ModelWeights) -> None:
         fh.write("\n")
 
 
+def _holds_bool(x) -> bool:
+    """True if a JSON value has a boolean anywhere; numpy would make it 0 or 1."""
+    return isinstance(x, bool) or (isinstance(x, list) and any(map(_holds_bool, x)))
+
+
 def load_weights(path) -> tuple[ModelConfig, ModelWeights]:
     try:
         with open(path) as fh:
@@ -431,7 +436,7 @@ def load_weights(path) -> tuple[ModelConfig, ModelWeights]:
             raise WeightFormatError(f"{path}: missing tensor '{name}'")
         try:  # check the type first: a float64 cast would turn "0.5" into 0.5
             arr = np.array(tensors[name])
-            if arr.dtype.kind not in "if":
+            if arr.dtype.kind not in "if" or _holds_bool(tensors[name]):
                 raise ValueError
         except ValueError:
             raise WeightFormatError(f"{path}: tensor '{name}' is not numeric") from None

@@ -5,13 +5,18 @@ the row maximum lands at 0, every shifted element indexes an exp table over
 [exp_lo, 0), the exact sum of the looked-up terms indexes a reciprocal table
 over [1, n_max), and each output is a single fixed-point multiply of the two
 table entries. Out-of-range lookups clamp to the edge bins; nothing wraps.
+Bin indices come from the raw integers by exact integer arithmetic, as
+hardware takes them from bit slices.
 
 Table entries are sampled at bin left edges and quantized into the I/O
 format, so tables are immutable integer arrays after construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -26,20 +31,44 @@ class LutTable:
 
     lo: float
     hi: float
-    entries_raw: np.ndarray  # int64 raws in `fmt`
+    entries_raw: np.ndarray  # int64 raws in `fmt`, which also holds the lookup keys
     fmt: FxFormat
 
     @property
     def size(self) -> int:
         return int(self.entries_raw.shape[0])
 
-    def index_of(self, x: np.ndarray | float) -> np.ndarray:
-        """clamp(floor((x - lo) * size / (hi - lo)), 0, size - 1)"""
-        i = np.floor((np.asarray(x, dtype=np.float64) - self.lo) * self.size / (self.hi - self.lo))
-        return np.clip(i, 0, self.size - 1).astype(np.int64)
+    @cached_property
+    def _index_map(self) -> tuple[int, int, int, bool]:
+        """``(p, r, q, fits_int64)``: the bin of raw ``x`` is ``(x*p - r) // q``.
 
-    def lookup_raw(self, x: np.ndarray | float) -> np.ndarray:
-        return self.entries_raw[self.index_of(x)]
+        The bin is floor((x * 2**-frac - lo) * size / (hi - lo)). Every float
+        is a dyadic rational, so p/q (bins per raw step) and r/q (``lo`` in
+        bins) are exact fractions and the index needs no float arithmetic.
+        """
+        span = Fraction(self.hi) - Fraction(self.lo)
+        per_raw = Fraction(self.size, 1 << self.fmt.frac_bits) / span
+        offset = Fraction(self.lo) * self.size / span
+        q = math.lcm(per_raw.denominator, offset.denominator)
+        p = per_raw.numerator * (q // per_raw.denominator)
+        r = offset.numerator * (q // offset.denominator)
+        # in-range raws have |x| <= 2**(total_bits - 1)
+        fits = (p << (self.fmt.total_bits - 1)) + abs(r) < 1 << 63
+        return p, r, q, fits
+
+    def index_of(self, raw: np.ndarray | int) -> np.ndarray:
+        """clamp(floor((raw * 2**-frac - lo) * size / (hi - lo)), 0, size - 1), exactly."""
+        p, r, q, fits = self._index_map
+        raw = np.asarray(raw)
+        if raw.dtype == object or not fits:
+            raw = raw.astype(object)
+        i = np.asarray(raw * p - r, dtype=raw.dtype)
+        np.floor_divide(i, q, out=i)
+        np.clip(i, 0, self.size - 1, out=i)
+        return i.astype(np.int64, copy=False)
+
+    def lookup_raw(self, raw: np.ndarray | int) -> np.ndarray:
+        return self.entries_raw[self.index_of(raw)]
 
 
 def _build_table(f: Callable[[np.ndarray], np.ndarray], size: int,
@@ -105,14 +134,12 @@ def softmax_lut(cfg: SoftmaxConfig, v: FxArray,
     kept = raw if keep is None else np.where(keep, raw, fmt.raw_min)
     m = kept.max(axis=-1, keepdims=True)
     shifted = fxp._handle_overflow_array(raw - m, fmt)
-    x = np.asarray(shifted, dtype=np.float64) * fmt.step
-    e_raw = cfg.exp_table.lookup_raw(x)
+    e_raw = cfg.exp_table.lookup_raw(shifted)
     if keep is not None:
         e_raw = np.where(keep, e_raw, 0)
     e = FxArray(e_raw, fmt)
     s = fxp.fx_sum(e, axis=-1)
-    s_val = np.asarray(s.raw, dtype=np.float64) * fmt.step
-    inv_raw = cfg.inv_table.lookup_raw(s_val)
+    inv_raw = cfg.inv_table.lookup_raw(s.raw)
     inv = FxArray(np.expand_dims(np.asarray(inv_raw), -1), fmt)
     return fxp.fx_mul_array(e, inv)
 

@@ -322,3 +322,152 @@ def test_relu():
     fmt = FxFormat(4, 4)
     a = fxp.FxArray(np.array([-3, 0, 7], dtype=np.int64), fmt)
     assert list(fxp.fx_relu(a).raw) == [0, 0, 7]
+
+
+# ---------------------------------------------------------------------------
+# the arithmetic tiers at their exactness edges: float64 while a sum of
+# products is provably below 2**53, int64 below 2**62, Python ints above
+# ---------------------------------------------------------------------------
+
+MODES = [(o, r) for o in Overflow for r in Rounding]
+
+
+def oracle_matmul(a: np.ndarray, b: np.ndarray, fmt: FxFormat) -> list:
+    """Rows of a (r, k) times columns of b (k, c) in Fractions, rounded once."""
+    scale = Fraction(1, 1 << (2 * fmt.frac_bits))
+    return [[oracle_quantize(sum(int(x) * int(y) for x, y in zip(row, col)) * scale, fmt)
+             for col in b.T] for row in a]
+
+
+def edge_operands(fmt: FxFormat, k: int, seed: int):
+    """(4, k) and (k, 3) raws: a row and a column of raw_min, of raw_max, and
+    random in-range raws elsewhere, so both extremes meet in every pairing."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(fmt.raw_min, fmt.raw_max, size=(4, k), endpoint=True)
+    b = rng.integers(fmt.raw_min, fmt.raw_max, size=(k, 3), endpoint=True)
+    a[0], a[1] = fmt.raw_min, fmt.raw_max
+    b[:, 0], b[:, 1] = fmt.raw_min, fmt.raw_max
+    return a, b
+
+
+@pytest.mark.parametrize("overflow,rounding", MODES)
+@pytest.mark.parametrize("total,tier", [(24, np.float64), (25, np.int64)])
+def test_matmul_90_terms_at_the_float64_edge(total, tier, overflow, rounding):
+    # 90 * 2**46 < 2**53 proves float64 exact at 24 bits without a scan;
+    # at 25 bits these raws bound the sum above 2**53 and int64 runs
+    fmt = FxFormat(8, total - 8, overflow=overflow, rounding=rounding)
+    a, b = edge_operands(fmt, 90, seed=total)
+    fa, fb = fxp.FxArray(a, fmt), fxp.FxArray(b, fmt)
+    assert fxp._product_dtype(a, b, fmt, 90) is tier
+    got = fxp.fx_matmul(fa, fb)
+    assert got.raw.dtype == np.int64
+    assert got.raw.tolist() == oracle_matmul(a, b, fmt)
+    # the row-product route for 2-D operands and a plain matrix-vector product
+    assert fxp.fx_matmul(fa, fb[:, 2]).raw.tolist() == [r[2] for r in got.raw.tolist()]
+
+
+@pytest.mark.parametrize("overflow,rounding", MODES)
+@pytest.mark.parametrize("total,tier", [(27, np.float64), (28, np.int64)])
+def test_mul_array_at_the_float64_edge(total, tier, overflow, rounding):
+    # 2**52 < 2**53 at 27 bits; at 28 bits raw_min squared is 2**54
+    fmt = FxFormat(8, total - 8, overflow=overflow, rounding=rounding)
+    rng = np.random.default_rng(total)
+    a, b = rng.integers(fmt.raw_min, fmt.raw_max, size=(2, 16), endpoint=True)
+    a[:4] = [fmt.raw_min, fmt.raw_min, fmt.raw_max, fmt.raw_max]
+    b[:4] = [fmt.raw_min, fmt.raw_max, fmt.raw_min, fmt.raw_max]
+    assert fxp._product_dtype(a, b, fmt, 1) is tier
+    got = fxp.fx_mul_array(fxp.FxArray(a, fmt), fxp.FxArray(b, fmt))
+    want = [oracle_mul(FxValue(int(x), fmt), FxValue(int(y), fmt)) for x, y in zip(a, b)]
+    assert got.raw.tolist() == want
+    # broadcasting one raw across a row, either operand the smaller one
+    scalar = fxp.FxArray(np.array([b[0]]), fmt)
+    want_b = [oracle_mul(FxValue(int(x), fmt), FxValue(int(b[0]), fmt)) for x in a]
+    assert fxp.fx_mul_array(fxp.FxArray(a, fmt), scalar).raw.tolist() == want_b
+    assert fxp.fx_mul_array(scalar, fxp.FxArray(a, fmt)).raw.tolist() == want_b
+
+
+@pytest.mark.parametrize("overflow,rounding", MODES)
+@pytest.mark.parametrize("limit,below,at", [(53, np.float64, np.int64),
+                                            (62, np.int64, object)])
+def test_data_bound_crossing(limit, below, at, overflow, rounding):
+    # at 40 bits only a scan can place a product: 4 terms of 2**29 times
+    # 2**(limit-31) - 1 stay below 2**limit, times 2**(limit-31) reach it
+    fmt = FxFormat(10, 30, overflow=overflow, rounding=rounding)
+    rng = np.random.default_rng(limit)
+    for top, tier in ((2 ** (limit - 31) - 1, below), (2 ** (limit - 31), at)):
+        a = rng.integers(-(2 ** 29), 2 ** 29, size=(3, 4), endpoint=True)
+        b = rng.integers(-top, top, size=(4, 2), endpoint=True)
+        a[0, 0], a[1] = 2 ** 29, -(2 ** 29) + 1
+        b[0, 0], b[:, 1] = top, -top
+        assert fxp._product_dtype(a, b, fmt, 4) is tier
+        got = fxp.fx_matmul(fxp.FxArray(a, fmt), fxp.FxArray(b, fmt))
+        assert got.raw.dtype == np.int64
+        assert got.raw.tolist() == oracle_matmul(a, b, fmt)
+        # one term: 2**29 times 4 * top
+        a1, b1 = a[:2, :2], b.T[:, :2] * 4
+        assert fxp._product_dtype(a1, b1, fmt, 1) is tier
+        got = fxp.fx_mul_array(fxp.FxArray(a1, fmt), fxp.FxArray(b1, fmt))
+        want = [[oracle_mul(FxValue(int(x), fmt), FxValue(int(y), fmt))
+                 for x, y in zip(ra, rb)] for ra, rb in zip(a1, b1)]
+        assert got.raw.tolist() == want
+
+
+def tie_pairs(fmt: FxFormat, abits: int, bbits: int):
+    """Raws a (about 2**abits, both signs) and b (just below 2**bbits) whose
+    products sit on, next to and far from a rounding tie, with both parities
+    of the kept part: a * b = r (mod 2**frac) for each residue r."""
+    mod = 1 << fmt.frac_bits
+    a_out, b_out = [], []
+    for r in (0, 1, mod // 2 - 1, mod // 2, mod // 2 + 1, mod - 1):
+        for a in ((1 << abits) - 1, 3 - (1 << abits)):
+            b0 = r * pow(a, -1, mod) % mod
+            top = ((1 << bbits) - 1 - b0) >> fmt.frac_bits
+            for j in (top, top - 1):
+                a_out.append(a)
+                b_out.append(b0 + j * mod)
+    dtype = object if fmt.total_bits > 60 else np.int64
+    return np.array(a_out, dtype=dtype), np.array(b_out, dtype=dtype)
+
+
+@pytest.mark.parametrize("spec,abits,bbits,tier", [
+    ("fixed<20,10>", 9, 19, np.float64),   # bound from the width alone
+    ("fixed<40,10>", 21, 31, np.float64),  # a scan finds the bound below 2**53
+    ("fixed<40,10>", 28, 31, np.int64),
+    ("fixed<40,10>", 30, 34, object),
+    ("fixed<64,8>", 58, 58, object),       # above 60 bits, no scan
+])
+def test_ties_round_exactly_in_every_tier(spec, abits, bbits, tier):
+    # products stay in range, so saturation cannot hide a rounding error
+    for overflow, rounding in MODES:
+        fmt = fxp.parse_format(spec, overflow=overflow, rounding=rounding)
+        a, b = tie_pairs(fmt, abits, bbits)
+        assert fxp._product_dtype(a, b, fmt, 1) is tier
+        want = [oracle_mul(FxValue(int(x), fmt), FxValue(int(y), fmt)) for x, y in zip(a, b)]
+        assert all(fmt.raw_min < w < fmt.raw_max for w in want)
+        got = fxp.fx_mul_array(fxp.FxArray(a, fmt), fxp.FxArray(b, fmt))
+        assert [int(r) for r in got.raw] == want
+        outer = fxp.fx_matmul(fxp.FxArray(a[:, None], fmt), fxp.FxArray(b[None, :], fmt))
+        assert [int(outer.raw[i, i]) for i in range(len(a))] == want
+
+
+@pytest.mark.parametrize("overflow,rounding", MODES)
+@pytest.mark.parametrize("spec", ["fixed<20,10>", "fixed<28,8>", "fixed<40,10>",
+                                  "fixed<64,8>"])
+def test_every_kernel_output_in_range(spec, overflow, rounding):
+    fmt = fxp.parse_format(spec, overflow=overflow, rounding=rounding)
+    rng = np.random.default_rng(fmt.total_bits)
+    a, b = (np.array([fmt.raw_min, fmt.raw_max] + [int(rng.integers(fmt.raw_min >> 1, fmt.raw_max >> 1))
+                                                    for _ in range(14)]).reshape(4, 4)
+            for _ in range(2))
+    if fmt.total_bits > 60:
+        a, b = a.astype(object), b.astype(object)
+    fa, fb = fxp.FxArray(a, fmt), fxp.FxArray(b, fmt)
+    # 0-d results too: one dot product, one full sum
+    outs = [fxp.fx_add_array(fa, fb), fxp.fx_mul_array(fa, fb), fxp.fx_matmul(fa, fb),
+            fxp.fx_matmul(fa[0], fb[:, 0]), fxp.fx_sum(fa[0]),
+            fxp.fx_sum(fa), fxp.fx_sum(fa, axis=0), fxp.fx_relu(fa),
+            fxp.quantize_array(rng.normal(0.0, 2.0 ** (fmt.int_bits + 1), size=8), fmt)]
+    for out in outs:
+        raws = [int(r) for r in np.ravel(out.raw)]
+        assert all(fmt.raw_min <= r <= fmt.raw_max for r in raws)
+        assert out.raw.dtype == (object if fmt.total_bits > 60 else np.int64)

@@ -388,7 +388,8 @@ def test_non_finite_tensor_rejected(tmp_path, key, value):
 
 
 @pytest.mark.parametrize("value", [["0.5", "1", "2"], [True, False, True],
-                                   [[1.0], [2.0], [3.0, 4.0]], {"a": 1}])
+                                   [[1.0], [2.0], [3.0, 4.0]], {"a": 1},
+                                   [0.5, True, 1.0], [[0.5, 1.0], [False, 2.0]]])
 def test_non_numeric_tensor_rejected(tmp_path, value):
     path, doc = saved_doc(tmp_path)
     doc["tensors"]["output.b"] = value

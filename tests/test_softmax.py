@@ -1,5 +1,6 @@
 """Table-softmax accuracy: per-bin oracles plus a frozen regression bound."""
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -35,7 +36,7 @@ def sample_inputs(n, seed=MEASUREMENT_SEED, length=15):
 def test_exp_table_unit_at_zero_edge():
     # with a range whose interior hits 0 at a bin edge, that bin holds e^0
     t = sm.build_exp_table(8, -4.0, 4.0, FMT)
-    idx = int(t.index_of(0.0))
+    idx = int(t.index_of(fxp.quantize(0.0, FMT).raw))
     assert t.entries_raw[idx] == fxp.quantize(1.0, FMT).raw
 
 
@@ -53,7 +54,8 @@ def test_exp_table_per_bin_error():
 
 def test_inv_table_unit_at_one():
     t = sm.build_inv_table(1024, 1.0, 16.0, FMT)
-    assert t.entries_raw[int(t.index_of(1.0))] == fxp.quantize(1.0, FMT).raw
+    one = fxp.quantize(1.0, FMT).raw
+    assert t.entries_raw[int(t.index_of(one))] == one
 
 
 def test_inv_table_monotone_nonincreasing():
@@ -81,8 +83,59 @@ def test_table_validation():
 
 def test_index_clamps_to_edges():
     t = sm.build_exp_table(1024, -8.0, 0.0, FMT)
-    assert int(t.index_of(-100.0)) == 0
-    assert int(t.index_of(5.0)) == 1023
+    assert int(t.index_of(fxp.quantize(-100.0, FMT).raw)) == 0
+    assert int(t.index_of(fxp.quantize(5.0, FMT).raw)) == 1023
+
+
+def rational_index(t, raw):
+    """clamp(floor((raw * 2**-frac - lo) * size / (hi - lo))) in Fractions."""
+    x = Fraction(raw, 1 << t.fmt.frac_bits)
+    i = math.floor((x - Fraction(t.lo)) * t.size / (Fraction(t.hi) - Fraction(t.lo)))
+    return min(max(i, 0), t.size - 1)
+
+
+@pytest.mark.parametrize("table", ["exp", "inv"])
+def test_index_exact_one_lsb_below_an_edge_at_56_frac_bits(table):
+    # fixed<64,8>: a float64 holds 53 bits, so a raw one LSB below the left
+    # edge of bin 600 rounded onto the edge and was looked up one bin high
+    fmt = fxp.parse_format("fixed<64,8>")
+    cfg = make_cfg(fmt)
+    t = cfg.exp_table if table == "exp" else cfg.inv_table
+    edge = Fraction(t.lo) + 600 * (Fraction(t.hi) - Fraction(t.lo)) / t.size
+    edge_raw = int(edge * (1 << fmt.frac_bits))
+    assert int(t.index_of(edge_raw)) == rational_index(t, edge_raw) == 600
+    assert int(t.index_of(edge_raw - 1)) == rational_index(t, edge_raw - 1) == 599
+    assert list(t.index_of(np.array([edge_raw - 1, edge_raw], dtype=object))) == [599, 600]
+
+
+def test_softmax_lut_uses_the_exact_exp_bin_at_56_frac_bits():
+    fmt = fxp.parse_format("fixed<64,8>")
+    cfg = make_cfg(fmt)
+    edge_raw = int((Fraction(-8) + Fraction(600 * 8, 1024)) * (1 << fmt.frac_bits))
+    v = fxp.FxArray(np.array([0, edge_raw - 1], dtype=object), fmt)
+    e = [int(cfg.exp_table.entries_raw[i]) for i in (1023, 599)]
+    inv = int(cfg.inv_table.entries_raw[rational_index(cfg.inv_table, sum(e))])
+    want = [fxp.fx_mul(fxp.FxValue(x, fmt), fxp.FxValue(inv, fmt)).raw for x in e]
+    assert [int(r) for r in sm.softmax_lut(cfg, v).raw] == want
+
+
+@pytest.mark.parametrize("n_max", [4, 16])
+def test_index_exhaustive_against_rational_floor(n_max):
+    # every raw of every format with 1-8 integer and 0-12 fraction bits, in
+    # both tables; the oracle is the integer form of each bin formula:
+    # exp over [-8, 0): floor((x + 8) * size / 8), reciprocal over [1, n_max):
+    # floor((x - 1) * size / (n_max - 1)), with x = raw / 2**frac
+    size = 1024
+    for int_bits in range(1, 9):
+        for frac in range(0, 13):
+            fmt = FxFormat(int_bits, frac)
+            cfg = make_cfg(fmt, n_max=float(n_max), size=size)
+            raw = np.arange(fmt.raw_min, fmt.raw_max + 1, dtype=np.int64)
+            want_exp = ((raw + (8 << frac)) * size) // (8 << frac)
+            want_inv = ((raw - (1 << frac)) * size) // ((n_max - 1) << frac)
+            for t, want in ((cfg.exp_table, want_exp), (cfg.inv_table, want_inv)):
+                assert np.array_equal(t.index_of(raw), np.clip(want, 0, size - 1)), \
+                    (fmt.spec(), t.lo, t.hi)
 
 
 # ---------------------------------------------------------------------------
