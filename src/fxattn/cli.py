@@ -153,15 +153,15 @@ def cmd_make_weights(args) -> int:
 def cmd_infer(args) -> int:
     cfg, w = mdl.load_weights(args.weights)
     ds = dat.load_csv(args.data)
-    if not ds.samples:
+    if not len(ds):
         raise ValueError(f"{args.data}: empty dataset")
     probs = mdl.forward_batch(cfg, w, ds.feature_tensor(), fmt=args.fmt)
     path = _outdir(args) / "predictions.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["jet_id", "label", "p_b", "p_c", "p_light"])
-        for i, s in enumerate(ds.samples):
-            writer.writerow([i, s.label, *[repr(float(v)) for v in probs[i]]])
+        writer.writerows([i, label, *p]
+                         for i, (label, p) in enumerate(zip(ds.labels().tolist(), probs.tolist())))
     mode = "float64" if args.fmt is None else args.fmt.spec()
     acc = float(np.mean(np.array(dat.LABELS)[probs.argmax(axis=1)] == ds.labels()))
     print(f"infer: {len(ds)} jets in {mode}, argmax accuracy {acc:.4f} -> {path}")

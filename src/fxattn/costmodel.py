@@ -14,14 +14,14 @@ rf=1 point exactly and the rf=2/4 points are validation only. Calibration
 math runs on exact rationals so the rf=1 report reproduces the published
 figures to the last digit.
 
-LUT/FF coefficients are first-order placeholders flagged "uncalibrated";
-supply synthesis-derived coefficients for real estimates.
+LUT/FF coefficients are first-order placeholders, and every resource
+report flags them "uncalibrated".
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from fxattn.fxp import FxFormat
@@ -31,6 +31,16 @@ from fxattn.model import ModelConfig
 PUBLISHED_LATENCY_US = {1: 2.077, 2: 3.467, 4: 5.853}
 PUBLISHED_II_CYCLES = 49
 PUBLISHED_CLOCK_NS = 6.58
+
+# Latency calibration in exact rationals: each rf step adds one published II
+# of depth, and the fixed depth lands rf=1 on the stock clock on the
+# published 2.077 us figure: 2077 ns / (329/50 ns) - 49 cycles = 87729/329.
+FIXED_DEPTH_CYCLES = Fraction(87729, 329)
+# uncalibrated placeholder area coefficients (per instantiated multiplier per
+# operand bit)
+LUT_PER_MULT_BIT = 12.0
+FF_PER_MULT_BIT = 8.0
+BRAM_BLOCK_BITS = 36864  # one 36 kbit block
 
 
 @dataclass(frozen=True)
@@ -72,23 +82,6 @@ def device_by_name(name: str) -> DeviceProfile:
     if name.startswith("custom:"):
         return load_device(name.split(":", 1)[1])
     raise ValueError(f"unknown device {name!r} (use vu13p or custom:<file>)")
-
-
-@dataclass(frozen=True)
-class CalibrationConstants:
-    """Latency/area calibration. Cycle constants are exact rationals; the
-    fixed depth is chosen so rf=1 on the stock clock lands on the published
-    2.077 us figure: 2077 ns / (329/50 ns) - 49 cycles = 87729/329."""
-
-    base_ii_cycles: int = PUBLISHED_II_CYCLES
-    per_rf_depth_cycles: Fraction = Fraction(PUBLISHED_II_CYCLES)
-    fixed_depth_cycles: Fraction = Fraction(87729, 329)
-    # uncalibrated placeholder area coefficients (per instantiated
-    # multiplier per operand bit)
-    lut_per_mult_bit: float = 12.0
-    ff_per_mult_bit: float = 8.0
-    lut_calibrated: bool = False
-    bram_block_bits: int = 36864  # one 36 kbit block
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +147,6 @@ class ResourceReport:
     device: DeviceProfile
     reuse_factor: int
     fmt: FxFormat
-    lut_calibrated: bool
 
     def to_csv_rows(self) -> list[list]:
         rows = [["layer", "mults", "dsp", "lut", "ff", "bram"]]
@@ -167,10 +159,9 @@ class ResourceReport:
     def summary(self) -> str:
         flags = "" if not self.over_subscribed else \
             f"  OVER-SUBSCRIBED: {', '.join(self.over_subscribed)}"
-        calib = "" if self.lut_calibrated else " (LUT/FF coefficients uncalibrated)"
         lines = [
             f"resources for rf={self.reuse_factor}, {self.fmt.spec()} "
-            f"on {self.device.name}{calib}",
+            f"on {self.device.name} (LUT/FF coefficients uncalibrated)",
             f"  DSP  {self.dsp:>9} / {self.device.dsp_total:<9} "
             f"({self.utilization['dsp']:.1%}){flags}",
             f"  LUT  {self.lut:>9} / {self.device.lut_total:<9} "
@@ -195,23 +186,22 @@ def _fifo_bits(cfg: ModelConfig, width_bits: int) -> dict[str, int]:
     }
 
 
-def estimate_resources(cfg: ModelConfig, fmt: FxFormat, rf: int, dev: DeviceProfile,
-                       calib: CalibrationConstants | None = None) -> ResourceReport:
+def estimate_resources(cfg: ModelConfig, fmt: FxFormat, rf: int,
+                       dev: DeviceProfile) -> ResourceReport:
     if rf < 1:
         raise ValueError("reuse factor must be >= 1")
-    calib = calib or CalibrationConstants()
     bits = fmt.total_bits
     table_bits = 2 * cfg.softmax_table_size * bits  # exp + inv per softmax
     fifo = _fifo_bits(cfg, bits)
 
     def bram_of(storage_bits: int) -> int:
-        return math.ceil(storage_bits / calib.bram_block_bits) if storage_bits else 0
+        return math.ceil(storage_bits / BRAM_BLOCK_BITS) if storage_bits else 0
 
     layers = []
     for lm in count_multipliers(cfg):
         dsp = math.ceil(lm.multipliers / rf)
-        lut = round(dsp * calib.lut_per_mult_bit * bits)
-        ff = round(dsp * calib.ff_per_mult_bit * bits)
+        lut = round(dsp * LUT_PER_MULT_BIT * bits)
+        ff = round(dsp * FF_PER_MULT_BIT * bits)
         storage = 0
         stage = lm.name.split(".")[-1]
         if ".mha." in lm.name:
@@ -237,8 +227,7 @@ def estimate_resources(cfg: ModelConfig, fmt: FxFormat, rf: int, dev: DeviceProf
     over = tuple(k for k, v in utilization.items() if v > 1.0)
     return ResourceReport(layers=tuple(layers), dsp=dsp, lut=lut, ff=ff, bram=bram,
                           utilization=utilization, over_subscribed=over,
-                          device=dev, reuse_factor=rf, fmt=fmt,
-                          lut_calibrated=calib.lut_calibrated)
+                          device=dev, reuse_factor=rf, fmt=fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +243,8 @@ class LatencyReport:
     reuse_factor: int
 
 
-def estimate_latency(cfg: ModelConfig, rf: int, dev: DeviceProfile,
-                     calib: CalibrationConstants | None = None) -> LatencyReport:
-    """ii = base_ii * rf; latency_cycles = fixed_depth + per_rf_depth * rf.
+def estimate_latency(cfg: ModelConfig, rf: int, dev: DeviceProfile) -> LatencyReport:
+    """ii = published_ii * rf; latency_cycles = fixed_depth + published_ii * rf.
 
     The calibration encodes the benchmark network, so cfg only rides along
     for signature symmetry with estimate_resources.
@@ -264,11 +252,10 @@ def estimate_latency(cfg: ModelConfig, rf: int, dev: DeviceProfile,
     del cfg
     if rf < 1:
         raise ValueError("reuse factor must be >= 1")
-    calib = calib or CalibrationConstants()
     clock = Fraction(str(dev.clock_ns))
-    ii_cycles = calib.base_ii_cycles * rf
+    ii_cycles = PUBLISHED_II_CYCLES * rf
     ii_ns = float(ii_cycles * clock)
-    cycles = calib.fixed_depth_cycles + calib.per_rf_depth_cycles * rf
+    cycles = FIXED_DEPTH_CYCLES + ii_cycles
     latency_us = float(cycles * clock / 1000)
     return LatencyReport(latency_cycles=float(cycles), latency_us=latency_us,
                          ii_cycles=ii_cycles, ii_ns=ii_ns, reuse_factor=rf)

@@ -195,11 +195,11 @@ def quantize(x: float, fmt: FxFormat) -> FxValue:
         raise ValueError("cannot quantize NaN")
     if math.isinf(x):
         return FxValue(fmt.raw_max if x > 0 else fmt.raw_min, fmt)
-    scaled = math.ldexp(x, fmt.frac_bits)  # exact unless it overflows float range
-    if math.isinf(scaled):
+    try:
+        scaled = math.ldexp(x, fmt.frac_bits)  # exact unless it overflows float range
+    except OverflowError:
         # |x| >= 2**(1024 - frac_bits): x is integer-valued, scale exactly
-        exact = int(x) << fmt.frac_bits
-        return FxValue(_handle_overflow_int(exact, fmt), fmt)
+        return FxValue(_handle_overflow_int(int(x) << fmt.frac_bits, fmt), fmt)
     if fmt.rounding is Rounding.ROUND_EVEN:
         r = round(scaled)  # float round is exact half-to-even
     else:
@@ -359,18 +359,27 @@ def _round_scaled(x: np.ndarray, fmt: FxFormat) -> np.ndarray:
 
 
 def quantize_array(x: np.ndarray, fmt: FxFormat) -> FxArray:
-    """Vectorized :func:`quantize`; bit-identical to the scalar path."""
+    """Vectorized :func:`quantize`; bit-identical to the scalar path.
+
+    Saturation first clips ``x`` at +-2**(int_bits - 1), wrap-around first
+    takes it modulo 2**int_bits; both are exact in float64 and leave the
+    raw unchanged. The scaled values then lie within 2**total_bits, so
+    scaling and rounding them is exact and int64 holds them up to 62 bits.
+    """
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
         raise ValueError("cannot quantize NaN")
-    scaled = x * math.ldexp(1.0, fmt.frac_bits)
-    # fast path needs the rounded integers to be exact in float64 and castable
-    if fmt.total_bits <= 52 and np.all(np.abs(scaled) < float(_INT64_SAFE)):
-        r = np.rint(scaled) if fmt.rounding is Rounding.ROUND_EVEN else np.floor(scaled)
-        raw = _handle_overflow_array(r.astype(np.int64), fmt)
-        return FxArray(raw, fmt)
-    flat = np.array([quantize(float(v), fmt).raw for v in x.flat], dtype=object)
-    raw = _handle_overflow_array(flat.reshape(x.shape), fmt)
+    top = math.ldexp(1.0, fmt.int_bits - 1)
+    if fmt.overflow is Overflow.SATURATE:
+        scaled = np.clip(x, -top, top)
+    else:
+        scaled = np.fmod(np.where(np.isinf(x), 0.0, x), 2 * top)
+    scaled = scaled * math.ldexp(1.0, fmt.frac_bits)
+    r = np.asarray(np.rint(scaled) if fmt.rounding is Rounding.ROUND_EVEN else np.floor(scaled))
+    r = r.astype(np.int64) if fmt.total_bits <= 62 else _as_object(r)
+    raw = _handle_overflow_array(r, fmt)
+    raw[x == np.inf] = fmt.raw_max
+    raw[x == -np.inf] = fmt.raw_min
     return FxArray(raw, fmt)
 
 

@@ -78,12 +78,11 @@ def sweep_precision(cfg: ModelConfig, weights: ModelWeights, dataset: Dataset,
     return SweepResult(columns=tuple(PRECISION_CSV_HEADER), rows=tuple(rows))
 
 
-def sweep_reuse(cfg: ModelConfig, rfs, fmt: FxFormat, dev: cm.DeviceProfile,
-                calib: cm.CalibrationConstants | None = None) -> SweepResult:
+def sweep_reuse(cfg: ModelConfig, rfs, fmt: FxFormat, dev: cm.DeviceProfile) -> SweepResult:
     rows = []
     for rf in rfs:
-        res = cm.estimate_resources(cfg, fmt, rf, dev, calib)
-        lat = cm.estimate_latency(cfg, rf, dev, calib)
+        res = cm.estimate_resources(cfg, fmt, rf, dev)
+        lat = cm.estimate_latency(cfg, rf, dev)
         rows.append((int(rf), res.dsp, res.lut, res.ff, res.bram,
                      lat.latency_us, lat.ii_ns))
     return SweepResult(columns=tuple(REUSE_CSV_HEADER), rows=tuple(rows))

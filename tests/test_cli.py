@@ -121,3 +121,62 @@ def test_int_list_parsing():
     assert parse_int_list("4,8-10") == [4, 8, 9, 10]
     with pytest.raises(Exception):
         parse_int_list("10-6")
+
+
+# sha256 of infer's predictions.csv for gen-data --n 200 --seed 11 and the
+# analytic weights, recorded while each jet was still held as its own object
+PINNED_PREDICTIONS_SHA256 = {
+    None: "e130749a285ca3c09565780ffb2f0e6f34384d1db4dfb948a989ef4748d6153d",
+    "fixed<16,6>": "d4a5e9d230a1275c6db3bace7f99e7747f29521dfd01170b3ea57ad6c268294f",
+}
+
+
+def test_infer_predictions_pinned(tmp_path, run_cli):
+    import hashlib
+    run_cli("gen-data", "--n", "200", "--seed", "11", "--out", str(tmp_path))
+    run_cli("make-weights", "--out", str(tmp_path))
+    for fmt, want in PINNED_PREDICTIONS_SHA256.items():
+        out_dir = tmp_path / str(fmt)
+        out = run_cli("infer", "--weights", str(tmp_path / "weights.json"),
+                      "--data", str(tmp_path / "dataset.csv"), "--out", str(out_dir),
+                      *(["--fmt", fmt] if fmt else []))
+        assert out.returncode == 0, out.stderr
+        got = hashlib.sha256((out_dir / "predictions.csv").read_bytes()).hexdigest()
+        assert got == want, fmt
+
+
+def test_infer_non_finite_feature_exits_1(tmp_path, run_cli):
+    run_cli("gen-data", "--n", "20", "--seed", "1", "--out", str(tmp_path))
+    run_cli("make-weights", "--out", str(tmp_path))
+    lines = (tmp_path / "dataset.csv").read_text().splitlines()
+    fields = lines[4].split(",")
+    fields[2] = "inf"
+    lines[4] = ",".join(fields)
+    (tmp_path / "dataset.csv").write_text("\n".join(lines) + "\n")
+    for fmt in ([], ["--fmt", "fixed<20,10>"]):
+        out = run_cli("infer", "--weights", str(tmp_path / "weights.json"),
+                      "--data", str(tmp_path / "dataset.csv"), "--out", str(tmp_path),
+                      *fmt)
+        assert out.returncode == 1
+        assert "error:" in out.stderr and "line 5" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
+def test_infer_saturates_values_past_float_range_of_the_scale(tmp_path, run_cli):
+    # 1e308 * 2**8 overflows float64; quantizing it must saturate, not raise
+    import json
+    run_cli("gen-data", "--n", "20", "--seed", "1", "--out", str(tmp_path))
+    run_cli("make-weights", "--out", str(tmp_path))
+    lines = (tmp_path / "dataset.csv").read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[3] = "1e308"
+    lines[1] = ",".join(fields)
+    (tmp_path / "dataset.csv").write_text("\n".join(lines) + "\n")
+    wpath = tmp_path / "weights.json"
+    doc = json.loads(wpath.read_text())
+    doc["tensors"]["output.b"][0] = 1e308
+    wpath.write_text(json.dumps(doc))
+    out = run_cli("infer", "--weights", str(wpath), "--data", str(tmp_path / "dataset.csv"),
+                  "--fmt", "fixed<16,8>", "--out", str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    assert "Traceback" not in out.stderr

@@ -134,6 +134,16 @@ def test_quantize_wraps_out_of_range():
     assert fxp.quantize(x, fmt).raw == -128
 
 
+@pytest.mark.parametrize("overflow", list(Overflow))
+@pytest.mark.parametrize("x", [1e300, -1e300, 1e308, -1.7976931348623157e308])
+def test_quantize_past_float_range_of_the_scale(x, overflow):
+    # x * 2**frac_bits overflows float64; the exact integer path still runs
+    for fmt in [FxFormat(8, 48, overflow), FxFormat(56, 8, overflow), FxFormat(1, 63, overflow)]:
+        want = oracle_quantize(Fraction(x), fmt)
+        assert fxp.quantize(x, fmt).raw == want
+        assert int(fxp.quantize_array(np.array([x]), fmt).raw[0]) == want
+
+
 def test_dequantize_trivial():
     assert fxp.dequantize(FxValue(3, FxFormat(2, 2))) == 0.75
     assert fxp.dequantize(FxValue(-1024, FxFormat(10, 10))) == -1.0
@@ -265,6 +275,30 @@ def test_quantize_array_matches_scalar(fmt, xs):
     arr = fxp.quantize_array(np.array(xs), fmt)
     for got, x in zip(arr.raw.flat, xs):
         assert int(got) == fxp.quantize(x, fmt).raw
+
+
+EDGE_VALUES = [0.0, -0.0, 0.5, -0.5, 1.5, -2.5, 5e-324, 2.0 ** 52 + 1, -(2.0 ** 61),
+               2.0 ** 63, 1e19, -1e300, 1e308, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("spec", ["fixed<8,2>", "fixed<52,20>", "fixed<56,8>",
+                                  "fixed<60,30>", "fixed<62,2>", "fixed<63,62>",
+                                  "fixed<64,32>", "fixed<64,64>"])
+@pytest.mark.parametrize("overflow", list(Overflow))
+@pytest.mark.parametrize("rounding", list(Rounding))
+def test_quantize_array_every_width_matches_oracle(spec, overflow, rounding):
+    fmt = fxp.parse_format(spec, overflow, rounding)
+    rng = np.random.default_rng(fmt.total_bits)
+    xs = np.concatenate([EDGE_VALUES, rng.normal(0.0, 2.0 ** fmt.int_bits, 40),
+                         np.ldexp(rng.normal(size=40), rng.integers(-70, 70, 40))])
+    got = fxp.quantize_array(xs.reshape(5, -1), fmt)
+    assert got.raw.dtype == (object if fmt.total_bits > 60 else np.int64)
+    for g, x in zip(got.raw.flat, xs):
+        if math.isinf(x):
+            want = fmt.raw_max if x > 0 else fmt.raw_min
+        else:
+            want = oracle_quantize(Fraction(x), fmt)
+        assert int(g) == want == fxp.quantize(x, fmt).raw, x
 
 
 @given(fmt=fmt_strategy(), data=st.data())

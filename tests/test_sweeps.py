@@ -42,7 +42,8 @@ def test_precision_sweep_parallel_matches_serial(setup):
 
 def test_precision_sweep_requires_all_classes(setup):
     cfg, w, ds = setup
-    only_b = Dataset(samples=[s for s in ds.samples if s.label == "b"])
+    b = ds.labels() == "b"
+    only_b = Dataset(ds.tracks[b], ds.n_tracks[b], ds.jet_labels[b])
     with pytest.raises(ValueError, match="missing classes"):
         sweeps.sweep_precision(cfg, w, only_b, [10], [10])
 
