@@ -160,8 +160,8 @@ def cmd_infer(args) -> int:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["jet_id", "label", "p_b", "p_c", "p_light"])
-        writer.writerows([i, label, *p]
-                         for i, (label, p) in enumerate(zip(ds.labels().tolist(), probs.tolist())))
+        rows = zip(ds.labels().tolist(), probs.tolist())
+        writer.writerows([i, label, *p] for i, (label, p) in enumerate(rows))
     mode = "float64" if args.fmt is None else args.fmt.spec()
     acc = float(np.mean(np.array(dat.LABELS)[probs.argmax(axis=1)] == ds.labels()))
     print(f"infer: {len(ds)} jets in {mode}, argmax accuracy {acc:.4f} -> {path}")

@@ -76,14 +76,14 @@ class Dataset:
         if shapes != ((len(self), MAX_TRACKS, NUM_FEATURES), (len(self),), (len(self),)):
             raise ValueError(f"array shapes {shapes} != (n, 15, 6), (n,), (n,)")
         real = self.real_rows()
-        sd0, dr, ptrel = (self.tracks[:, :, FEATURES.index(f)] for f in ("sd0", "dr", "ptrel"))
+        sd0, dr, ptrel = (self.tracks[..., FEATURES.index(f)] for f in ("sd0", "dr", "ptrel"))
         rules = (  # (violations per jet or per row, message)
             (~np.isin(self.jet_labels, LABELS), "unknown label"),
             ((self.n_tracks < 1) | (self.n_tracks > MAX_TRACKS), "n_tracks outside [1, 15]"),
             # no rise into the padding is checked: a real sd0 may be negative
-            ((np.diff(sd0, axis=1) > 0) & real[:, 1:],
+            ((sd0[:, 1:] > sd0[:, :-1]) & real[:, 1:],
              "real rows must be sorted by descending sd0"),
-            ((self.tracks != 0.0).any(axis=2) & ~real, "padding rows must be zero"),
+            (self.tracks.any(axis=2) & ~real, "padding rows must be zero"),
             (((dr < 0.0) | (dr > 0.5)) & real, "dr outside [0, 0.5]"),
             ((ptrel <= 0.0) & real, "ptrel must be positive on real rows"),
         )
@@ -118,14 +118,13 @@ def generate_synthetic(n: int, seed: int) -> Dataset:
 
 
 def save_csv(path, dataset: Dataset) -> None:
-    jet_ids = np.repeat(np.arange(len(dataset)), dataset.n_tracks)
-    rows = zip(jet_ids.tolist(), dataset.jet_labels[jet_ids].tolist(),
-               dataset.tracks[dataset.real_rows()].tolist())
+    jets = zip(dataset.jet_labels.tolist(), dataset.n_tracks.tolist(), dataset.tracks)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        # csv writes a float as its repr, which reads back to the same float
-        writer.writerows([jet_id, label, *feats] for jet_id, label, feats in rows)
+        for jet_id, (label, n, tracks) in enumerate(jets):
+            # csv writes a float as its repr, which reads back to the same float
+            writer.writerows([jet_id, label, *feats] for feats in tracks[:n].tolist())
 
 
 def load_csv(path) -> Dataset:

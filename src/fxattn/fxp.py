@@ -362,20 +362,21 @@ def quantize_array(x: np.ndarray, fmt: FxFormat) -> FxArray:
     """Vectorized :func:`quantize`; bit-identical to the scalar path.
 
     Saturation first clips ``x`` at +-2**(int_bits - 1), wrap-around first
-    takes it modulo 2**int_bits; both are exact in float64 and leave the
-    raw unchanged. The scaled values then lie within 2**total_bits, so
-    scaling and rounding them is exact and int64 holds them up to 62 bits.
+    takes it modulo 2**int_bits; both are exact in float64 and neither
+    changes the resulting raw. The scaled values then lie within
+    2**total_bits, so scaling and rounding them is exact and int64 holds
+    them up to 62 bits. Infinities clamp to the format bounds in both modes.
     """
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
         raise ValueError("cannot quantize NaN")
     top = math.ldexp(1.0, fmt.int_bits - 1)
     if fmt.overflow is Overflow.SATURATE:
-        scaled = np.clip(x, -top, top)
+        bounded = np.clip(x, -top, top)
     else:
-        scaled = np.fmod(np.where(np.isinf(x), 0.0, x), 2 * top)
-    scaled = scaled * math.ldexp(1.0, fmt.frac_bits)
-    r = np.asarray(np.rint(scaled) if fmt.rounding is Rounding.ROUND_EVEN else np.floor(scaled))
+        bounded = np.fmod(np.where(np.isinf(x), 0.0, x), 2 * top)
+    rnd = np.rint if fmt.rounding is Rounding.ROUND_EVEN else np.floor
+    r = np.asarray(rnd(bounded * math.ldexp(1.0, fmt.frac_bits)))
     r = r.astype(np.int64) if fmt.total_bits <= 62 else _as_object(r)
     raw = _handle_overflow_array(r, fmt)
     raw[x == np.inf] = fmt.raw_max

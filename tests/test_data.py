@@ -7,11 +7,9 @@ import pytest
 from fxattn import data
 from fxattn.data import Dataset, DatasetFormatError
 
-ARRAYS = ("tracks", "n_tracks", "jet_labels")
-
 
 def assert_same(a: Dataset, b: Dataset) -> None:
-    for name in ARRAYS:
+    for name in ("tracks", "n_tracks", "jet_labels"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -151,7 +149,9 @@ def test_csv_empty_file_is_empty_dataset(tmp_path):
 def test_csv_header_only_is_empty_dataset(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(",".join(data.CSV_HEADER) + "\n")
-    assert len(data.load_csv(path)) == 0
+    ds = data.load_csv(path)
+    assert len(ds) == 0 and ds.feature_tensor().shape == (0, 15, 6)
+    assert ds.class_counts() == {"b": 0, "c": 0, "light": 0}
 
 
 def test_csv_malformed_row_reports_line(tmp_path):

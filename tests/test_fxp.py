@@ -138,7 +138,8 @@ def test_quantize_wraps_out_of_range():
 @pytest.mark.parametrize("x", [1e300, -1e300, 1e308, -1.7976931348623157e308])
 def test_quantize_past_float_range_of_the_scale(x, overflow):
     # x * 2**frac_bits overflows float64; the exact integer path still runs
-    for fmt in [FxFormat(8, 48, overflow), FxFormat(56, 8, overflow), FxFormat(1, 63, overflow)]:
+    for int_bits, frac_bits in [(8, 48), (56, 8), (1, 63)]:
+        fmt = FxFormat(int_bits, frac_bits, overflow)
         want = oracle_quantize(Fraction(x), fmt)
         assert fxp.quantize(x, fmt).raw == want
         assert int(fxp.quantize_array(np.array([x]), fmt).raw[0]) == want
