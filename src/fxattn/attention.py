@@ -156,12 +156,6 @@ def random_tensor(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.normal(0.0, std, size=shape)
 
 
-def random_mha_weights(cfg: MhaConfig, rng: np.random.Generator,
-                       scale: float = 1.0) -> MhaWeights:
-    return MhaWeights(**{name: random_tensor(rng, shape, scale, bias=name.startswith("b"))
-                         for name, shape in mha_shapes(cfg).items()})
-
-
 def quantize_mha_weights(w: MhaWeights, fmt: FxFormat) -> MhaWeights:
     return MhaWeights(**{f.name: fxp.quantize_array(getattr(w, f.name), fmt)
                          for f in fields(w)})

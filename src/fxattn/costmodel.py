@@ -117,10 +117,6 @@ def count_multipliers(cfg: ModelConfig) -> list[LayerMultipliers]:
     return out
 
 
-def total_multipliers(cfg: ModelConfig) -> int:
-    return sum(l.multipliers for l in count_multipliers(cfg))
-
-
 # ---------------------------------------------------------------------------
 # resources
 # ---------------------------------------------------------------------------
@@ -259,11 +255,3 @@ def estimate_latency(cfg: ModelConfig, rf: int, dev: DeviceProfile) -> LatencyRe
     latency_us = float(cycles * clock / 1000)
     return LatencyReport(latency_cycles=float(cycles), latency_us=latency_us,
                          ii_cycles=ii_cycles, ii_ns=ii_ns, reuse_factor=rf)
-
-
-def latency_vs_published(report: LatencyReport) -> float | None:
-    """Relative deviation from the published figure for this rf, if any."""
-    ref = PUBLISHED_LATENCY_US.get(report.reuse_factor)
-    if ref is None:
-        return None
-    return abs(report.latency_us - ref) / ref

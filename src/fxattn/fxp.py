@@ -5,19 +5,18 @@ A value is an integer ``raw`` scaled by ``2**-frac_bits``, stored in
 sign bit). Overflow is handled by saturation or wrap-around, rounding by
 truncation toward negative infinity or round-to-nearest-even.
 
-Two layers live here:
-
-* scalar :class:`FxValue` operations, written with exact Python integers;
-* :class:`FxArray` kernels over numpy arrays of raw integers, used by the
-  linear-algebra and attention code. They are bit-identical to the scalar
-  layer by construction (and tested to be).
+All arithmetic is done by :class:`FxArray` kernels over numpy arrays of raw
+integers (0-d arrays serve as scalars): :func:`quantize_array`,
+:func:`fx_add_array`, :func:`fx_mul_array`, :func:`fx_matmul`,
+:func:`fx_sum` and :func:`fx_relu`. The tests hold them to an independent
+exact-rational oracle.
 
 Accumulation discipline: dot products accumulate the exact double-width
 integer sum and round once at the end. Bias terms are added afterwards as
 exact raw additions followed by overflow handling, never inside the
 rounded accumulator.
 
-Array arithmetic runs in the cheapest of three tiers that holds every
+Arithmetic runs in the cheapest of three tiers that holds every
 intermediate exactly:
 
 * float64, when a sum of products is bounded below 2**53: then every
@@ -41,7 +40,6 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -93,14 +91,6 @@ class FxFormat:
         return (1 << (self.total_bits - 1)) - 1
 
     @property
-    def min_value(self) -> float:
-        return math.ldexp(self.raw_min, -self.frac_bits)
-
-    @property
-    def max_value(self) -> float:
-        return math.ldexp(self.raw_max, -self.frac_bits)
-
-    @property
     def step(self) -> float:
         """Quantization step, 2**-frac_bits."""
         return math.ldexp(1.0, -self.frac_bits)
@@ -108,9 +98,6 @@ class FxFormat:
     def spec(self) -> str:
         """Serialize as ``fixed<TOTAL,INT>`` (HLS width/integer notation)."""
         return f"fixed<{self.total_bits},{self.int_bits}>"
-
-    def __str__(self) -> str:
-        return self.spec()
 
 
 def parse_format(
@@ -127,120 +114,6 @@ def parse_format(
         raise ValueError(f"integer bits {int_bits} exceed total width {total} in {text!r}")
     return FxFormat(int_bits=int_bits, frac_bits=total - int_bits,
                     overflow=overflow, rounding=rounding)
-
-
-@dataclass(frozen=True)
-class FxValue:
-    """One fixed-point number: integer ``raw`` = value * 2**frac_bits."""
-
-    raw: int
-    fmt: FxFormat
-
-    def __post_init__(self) -> None:
-        if not (self.fmt.raw_min <= self.raw <= self.fmt.raw_max):
-            raise ValueError(
-                f"raw {self.raw} outside {self.fmt.spec()} range "
-                f"[{self.fmt.raw_min}, {self.fmt.raw_max}]"
-            )
-
-    @property
-    def value(self) -> float:
-        return math.ldexp(self.raw, -self.fmt.frac_bits)
-
-    def __float__(self) -> float:
-        return self.value
-
-
-# ---------------------------------------------------------------------------
-# exact integer helpers (shared by scalar and array layers)
-# ---------------------------------------------------------------------------
-
-def _shift_round_int(p: int, shift: int, rounding: Rounding) -> int:
-    """Round p / 2**shift to an integer per the rounding mode (exact)."""
-    if shift == 0:
-        return p
-    q = p >> shift  # arithmetic shift == floor division
-    if rounding is Rounding.TRUNCATE:
-        return q
-    r = p - (q << shift)
-    half = 1 << (shift - 1)
-    if r > half or (r == half and (q & 1)):
-        q += 1
-    return q
-
-
-def _handle_overflow_int(v: int, fmt: FxFormat) -> int:
-    if fmt.overflow is Overflow.SATURATE:
-        if v > fmt.raw_max:
-            return fmt.raw_max
-        if v < fmt.raw_min:
-            return fmt.raw_min
-        return v
-    half = 1 << (fmt.total_bits - 1)
-    return ((v + half) & ((1 << fmt.total_bits) - 1)) - half
-
-
-# ---------------------------------------------------------------------------
-# scalar operations
-# ---------------------------------------------------------------------------
-
-def quantize(x: float, fmt: FxFormat) -> FxValue:
-    """Nearest representable value of ``x`` per the format's rounding mode.
-
-    Out-of-range inputs saturate or wrap per the overflow mode. NaN is
-    rejected; infinities clamp to the format bounds in both modes.
-    """
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("cannot quantize NaN")
-    if math.isinf(x):
-        return FxValue(fmt.raw_max if x > 0 else fmt.raw_min, fmt)
-    try:
-        scaled = math.ldexp(x, fmt.frac_bits)  # exact unless it overflows float range
-    except OverflowError:
-        # |x| >= 2**(1024 - frac_bits): x is integer-valued, scale exactly
-        return FxValue(_handle_overflow_int(int(x) << fmt.frac_bits, fmt), fmt)
-    if fmt.rounding is Rounding.ROUND_EVEN:
-        r = round(scaled)  # float round is exact half-to-even
-    else:
-        r = math.floor(scaled)
-    return FxValue(_handle_overflow_int(r, fmt), fmt)
-
-
-def dequantize(v: FxValue) -> float:
-    """raw * 2**-frac_bits."""
-    return v.value
-
-
-def fx_add(a: FxValue, b: FxValue) -> FxValue:
-    if a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt.spec()} vs {b.fmt.spec()}")
-    return FxValue(_handle_overflow_int(a.raw + b.raw, a.fmt), a.fmt)
-
-
-def fx_sub(a: FxValue, b: FxValue) -> FxValue:
-    if a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt.spec()} vs {b.fmt.spec()}")
-    return FxValue(_handle_overflow_int(a.raw - b.raw, a.fmt), a.fmt)
-
-
-def fx_mul(a: FxValue, b: FxValue) -> FxValue:
-    """Double-width product, one right shift with rounding, then overflow handling."""
-    if a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt.spec()} vs {b.fmt.spec()}")
-    fmt = a.fmt
-    q = _shift_round_int(a.raw * b.raw, fmt.frac_bits, fmt.rounding)
-    return FxValue(_handle_overflow_int(q, fmt), fmt)
-
-
-def exact_value(v: FxValue) -> Fraction:
-    """The exact rational value, for oracles and error accounting."""
-    return Fraction(v.raw, 1 << v.fmt.frac_bits)
-
-
-# ---------------------------------------------------------------------------
-# array layer
-# ---------------------------------------------------------------------------
 
 
 # Exact integer intermediates fit float64 below _FLOAT_EXACT and int64 below
@@ -359,11 +232,11 @@ def _round_scaled(x: np.ndarray, fmt: FxFormat) -> np.ndarray:
 
 
 def quantize_array(x: np.ndarray, fmt: FxFormat) -> FxArray:
-    """Vectorized :func:`quantize`; bit-identical to the scalar path.
+    """Nearest representable raws of ``x`` per the format's rounding mode.
 
-    Saturation first clips ``x`` at +-2**(int_bits - 1), wrap-around first
-    takes it modulo 2**int_bits; both are exact in float64 and neither
-    changes the resulting raw. The scaled values then lie within
+    NaN is rejected. Saturation first clips ``x`` at +-2**(int_bits - 1),
+    wrap-around first takes it modulo 2**int_bits; both are exact in float64
+    and neither changes the resulting raw. The scaled values then lie within
     2**total_bits, so scaling and rounding them is exact and int64 holds
     them up to 62 bits. Infinities clamp to the format bounds in both modes.
     """
@@ -399,7 +272,7 @@ def fx_add_array(a: FxArray, b: FxArray) -> FxArray:
 
 
 def fx_mul_array(a: FxArray, b: FxArray) -> FxArray:
-    """Elementwise fx_mul with broadcasting."""
+    """Elementwise product with broadcasting: one rounding shift, then overflow."""
     fmt = _check_fmt(a, b)
     ar, br = a.raw, b.raw
     dtype = _product_dtype(ar, br, fmt, 1)

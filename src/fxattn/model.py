@@ -1,4 +1,4 @@
-"""Encoder-stack + classifier assembly, weight file I/O, forward passes.
+"""Encoder-stack + classifier assembly, weight file I/O, the forward pass.
 
 The network mirrors the flavor-tagging benchmark: identical encoder blocks
 (two-head attention plus a two-layer feed-forward, residual adds, no layer
@@ -270,7 +270,7 @@ def quantize_weights(w: ModelWeights, fmt: FxFormat) -> ModelWeights:
 
 
 # ---------------------------------------------------------------------------
-# forward passes
+# forward pass
 # ---------------------------------------------------------------------------
 
 def forward_batch(cfg: ModelConfig, weights: ModelWeights, x: np.ndarray,
@@ -312,16 +312,6 @@ def forward_batch(cfg: ModelConfig, weights: ModelWeights, x: np.ndarray,
         flat = L.dense_forward(layer, flat)
     probs = L.dense_forward(qw.output, flat, softmax_cfg=out_cfg)
     return probs.to_float() if fmt is not None else probs
-
-
-def forward(cfg: ModelConfig, weights: ModelWeights, sample: np.ndarray,
-            fmt: FxFormat | None = None) -> np.ndarray:
-    """Single-sample probabilities; identical arithmetic to forward_batch."""
-    sample = np.asarray(sample, dtype=np.float64)
-    if sample.shape != (cfg.seq_len, cfg.num_features):
-        raise ValueError(
-            f"sample shape {sample.shape} != ({cfg.seq_len}, {cfg.num_features})")
-    return forward_batch(cfg, weights, sample[None], fmt=fmt)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The fixed-point path mirrors the hardware strategy. Inputs are shifted so
 the row maximum lands at 0, every shifted element indexes an exp table over
 [exp_lo, 0), the exact sum of the looked-up terms indexes a reciprocal table
 over [1, n_max), and each output is a single fixed-point multiply of the two
-table entries. Out-of-range lookups clamp to the edge bins; nothing wraps.
+table entries. Out-of-range lookups clamp to the edge bins, and the shift
+saturates in wrap-around formats too; nothing wraps.
 Bin indices come from the raw integers by exact integer arithmetic, as
 hardware takes them from bit slices.
 
@@ -119,6 +120,13 @@ def softmax_lut(cfg: SoftmaxConfig, v: FxArray,
     only and the exp terms of the others are zeroed before the sum, as a
     hardware valid bit would, so a masked element gets weight exactly 0 and
     the kept ones equal the softmax of the kept sub-vector.
+
+    The shift ``x - max`` saturates into the I/O format in every overflow
+    mode, wrap-around included: a difference past ``raw_min`` is far below
+    the exp table's range and takes its bottom bin, where a wrapped one
+    would land near 0 and take almost the full weight. A masked element's
+    difference can be positive; it saturates at ``raw_max``, and its exp
+    term is zeroed.
     """
     if v.shape[-1] == 0:
         raise ValueError("softmax of an empty vector")
@@ -126,15 +134,11 @@ def softmax_lut(cfg: SoftmaxConfig, v: FxArray,
     if v.fmt != fmt:
         raise ValueError(f"input format {v.fmt.spec()} != table format {fmt.spec()}")
     raw = v.raw
-    if raw.dtype == object:
-        raw = raw.astype(np.int64) if fmt.total_bits <= 60 else raw
-    # shift the row maximum to zero; the difference is overflow-handled in
-    # the I/O format (saturation just pins far-below-range inputs, which the
-    # exp table clamps to its bottom bin anyway)
     kept = raw if keep is None else np.where(keep, raw, fmt.raw_min)
-    m = kept.max(axis=-1, keepdims=True)
-    shifted = fxp._handle_overflow_array(raw - m, fmt)
+    shifted = raw - kept.max(axis=-1, keepdims=True)
+    np.clip(shifted, fmt.raw_min, fmt.raw_max, out=shifted)
     e_raw = cfg.exp_table.lookup_raw(shifted)
+    del shifted  # as large as the scores; free it before the products
     if keep is not None:
         e_raw = np.where(keep, e_raw, 0)
     e = FxArray(e_raw, fmt)

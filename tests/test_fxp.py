@@ -8,43 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fxattn import fxp
-from fxattn.fxp import FxFormat, FxValue, Overflow, Rounding
-
-
-# ---------------------------------------------------------------------------
-# oracle: value-space arithmetic with Fractions, independent of the raw-domain
-# kernels. Rounds an exact rational onto the representable grid, then applies
-# overflow in value space.
-# ---------------------------------------------------------------------------
-
-def round_to_grid(x: Fraction, fmt: FxFormat) -> int:
-    scaled = x * (1 << fmt.frac_bits)
-    if fmt.rounding is Rounding.TRUNCATE:
-        return math.floor(scaled)
-    lo = math.floor(scaled)
-    frac = scaled - lo
-    if frac > Fraction(1, 2) or (frac == Fraction(1, 2) and lo % 2 != 0):
-        return lo + 1
-    return lo
-
-
-def apply_overflow(raw: int, fmt: FxFormat) -> int:
-    if fmt.overflow is Overflow.SATURATE:
-        return min(max(raw, fmt.raw_min), fmt.raw_max)
-    span = 1 << fmt.total_bits
-    return (raw - fmt.raw_min) % span + fmt.raw_min
-
-
-def oracle_quantize(x: Fraction, fmt: FxFormat) -> int:
-    return apply_overflow(round_to_grid(x, fmt), fmt)
-
-
-def oracle_add(a: FxValue, b: FxValue) -> int:
-    return oracle_quantize(fxp.exact_value(a) + fxp.exact_value(b), a.fmt)
-
-
-def oracle_mul(a: FxValue, b: FxValue) -> int:
-    return oracle_quantize(fxp.exact_value(a) * fxp.exact_value(b), a.fmt)
+from fxattn.fxp import FxArray, FxFormat, Overflow, Rounding
+from fxoracle import oracle_add, oracle_mul, oracle_quantize
 
 
 def fmt_strategy(max_total=16):
@@ -72,8 +37,8 @@ def test_format_validation():
 
 def test_format_range():
     fmt = FxFormat(int_bits=4, frac_bits=4)
-    assert fmt.min_value == -8.0
-    assert fmt.max_value == 8.0 - 2.0 ** -4
+    assert fmt.raw_min * fmt.step == -8.0
+    assert fmt.raw_max * fmt.step == 8.0 - 2.0 ** -4
     assert fmt.step == 0.0625
 
 
@@ -95,134 +60,124 @@ def test_parse_format_rejects_garbage():
 
 
 # ---------------------------------------------------------------------------
-# quantize / dequantize
+# quantize
 # ---------------------------------------------------------------------------
 
+def raw_of(x: float, fmt: FxFormat) -> int:
+    return int(fxp.quantize_array(x, fmt).raw)
+
+
 def test_quantize_exact_value():
-    v = fxp.quantize(0.75, FxFormat(2, 2))
-    assert v.raw == 3 and v.value == 0.75
+    v = fxp.quantize_array(0.75, FxFormat(2, 2))
+    assert int(v.raw) == 3 and v.to_float() == 0.75
 
 
 def test_quantize_zero():
     for fmt in [FxFormat(2, 2), FxFormat(10, 10), FxFormat(1, 0)]:
-        assert fxp.quantize(0.0, fmt).raw == 0
+        assert raw_of(0.0, fmt) == 0
 
 
 def test_quantize_tenth_round_even():
     fmt = FxFormat(10, 10, rounding=Rounding.ROUND_EVEN)
-    v = fxp.quantize(0.1, fmt)
-    assert v.raw == round(0.1 * 1024)
-    assert v.value == round(0.1 * 1024) / 1024
+    v = fxp.quantize_array(0.1, fmt)
+    assert int(v.raw) == round(0.1 * 1024)
+    assert v.to_float() == round(0.1 * 1024) / 1024
 
 
 def test_quantize_nan_rejected():
     with pytest.raises(ValueError):
-        fxp.quantize(float("nan"), FxFormat(4, 4))
+        fxp.quantize_array(float("nan"), FxFormat(4, 4))
 
 
 def test_quantize_saturates_out_of_range():
     fmt = FxFormat(4, 4)
-    assert fxp.quantize(100.0, fmt).raw == fmt.raw_max
-    assert fxp.quantize(-100.0, fmt).raw == fmt.raw_min
-    assert fxp.quantize(float("inf"), fmt).raw == fmt.raw_max
-    assert fxp.quantize(float("-inf"), fmt).raw == fmt.raw_min
+    assert raw_of(100.0, fmt) == fmt.raw_max
+    assert raw_of(-100.0, fmt) == fmt.raw_min
+    assert raw_of(float("inf"), fmt) == fmt.raw_max
+    assert raw_of(float("-inf"), fmt) == fmt.raw_min
 
 
 def test_quantize_wraps_out_of_range():
     fmt = FxFormat(4, 4, overflow=Overflow.WRAP)
     x = 8.0  # raw 128, wraps to -128
-    assert fxp.quantize(x, fmt).raw == -128
+    assert raw_of(x, fmt) == -128
 
 
 @pytest.mark.parametrize("overflow", list(Overflow))
 @pytest.mark.parametrize("x", [1e300, -1e300, 1e308, -1.7976931348623157e308])
 def test_quantize_past_float_range_of_the_scale(x, overflow):
-    # x * 2**frac_bits overflows float64; the exact integer path still runs
+    # x * 2**frac_bits overflows float64; the result is still exact
     for int_bits, frac_bits in [(8, 48), (56, 8), (1, 63)]:
         fmt = FxFormat(int_bits, frac_bits, overflow)
         want = oracle_quantize(Fraction(x), fmt)
-        assert fxp.quantize(x, fmt).raw == want
         assert int(fxp.quantize_array(np.array([x]), fmt).raw[0]) == want
 
 
-def test_dequantize_trivial():
-    assert fxp.dequantize(FxValue(3, FxFormat(2, 2))) == 0.75
-    assert fxp.dequantize(FxValue(-1024, FxFormat(10, 10))) == -1.0
-
-
 def test_roundtrip_exhaustive_8bit():
-    # quantize(dequantize(v)) == v for every representable 8-bit value
+    # quantizing the value of every representable 8-bit raw gives it back
     for int_bits in range(1, 9):
         for rounding in Rounding:
             fmt = FxFormat(int_bits, 8 - int_bits, rounding=rounding)
-            for raw in range(fmt.raw_min, fmt.raw_max + 1):
-                v = FxValue(raw, fmt)
-                assert fxp.quantize(fxp.dequantize(v), fmt) == v
+            raws = np.arange(fmt.raw_min, fmt.raw_max + 1, dtype=np.int64)
+            got = fxp.quantize_array(FxArray(raws, fmt).to_float(), fmt)
+            assert np.array_equal(got.raw, raws)
 
 
 @given(fmt=fmt_strategy(), x=st.floats(-1000, 1000))
 def test_roundtrip_error_bound(fmt, x):
-    x = min(max(x, fmt.min_value), fmt.max_value)
-    v = fxp.quantize(x, fmt)
-    assert abs(v.value - x) <= fmt.step + 1e-15
+    x = min(max(x, fmt.raw_min * fmt.step), fmt.raw_max * fmt.step)
+    v = fxp.quantize_array(x, fmt)
+    assert abs(v.to_float() - x) <= fmt.step + 1e-15
 
 
 # ---------------------------------------------------------------------------
-# add / mul scalar semantics
+# add / mul semantics, on 0-d arrays
 # ---------------------------------------------------------------------------
 
 def test_add_simple():
     fmt = FxFormat(4, 4)
-    a, b = fxp.quantize(0.5, fmt), fxp.quantize(0.25, fmt)
-    assert fxp.fx_add(a, b).value == 0.75
+    a, b = fxp.quantize_array(0.5, fmt), fxp.quantize_array(0.25, fmt)
+    assert fxp.fx_add_array(a, b).to_float() == 0.75
 
 
 def test_add_saturates_at_max():
     fmt = FxFormat(4, 4)
-    top = FxValue(fmt.raw_max, fmt)
-    assert fxp.fx_add(top, top).raw == fmt.raw_max
+    top = FxArray(np.array(fmt.raw_max), fmt)
+    assert int(fxp.fx_add_array(top, top).raw) == fmt.raw_max
 
 
 def test_mul_simple():
     fmt = FxFormat(4, 4)
-    a = fxp.quantize(0.5, fmt)
-    assert fxp.fx_mul(a, a).value == 0.25
+    a = fxp.quantize_array(0.5, fmt)
+    assert fxp.fx_mul_array(a, a).to_float() == 0.25
 
 
 def test_mul_identity():
     fmt = FxFormat(6, 6)
-    one = fxp.quantize(1.0, fmt)
-    for x in [-3.2, 0.015625, 1.0, 5.5]:
-        v = fxp.quantize(x, fmt)
-        assert fxp.fx_mul(v, one) == v
+    one = fxp.quantize_array(1.0, fmt)
+    v = fxp.quantize_array(np.array([-3.2, 0.015625, 1.0, 5.5]), fmt)
+    assert np.array_equal(fxp.fx_mul_array(v, one).raw, v.raw)
 
 
 def test_format_mismatch_rejected():
-    a = fxp.quantize(1.0, FxFormat(4, 4))
-    b = fxp.quantize(1.0, FxFormat(4, 3))
+    a = fxp.quantize_array(1.0, FxFormat(4, 4))
+    b = fxp.quantize_array(1.0, FxFormat(4, 3))
     with pytest.raises(ValueError):
-        fxp.fx_add(a, b)
+        fxp.fx_add_array(a, b)
     with pytest.raises(ValueError):
-        fxp.fx_mul(a, b)
+        fxp.fx_mul_array(a, b)
 
 
 @given(fmt=fmt_strategy(), data=st.data())
 def test_add_mul_match_oracle(fmt, data):
-    a = FxValue(data.draw(st.integers(fmt.raw_min, fmt.raw_max)), fmt)
-    b = FxValue(data.draw(st.integers(fmt.raw_min, fmt.raw_max)), fmt)
-    assert fxp.fx_add(a, b).raw == oracle_add(a, b)
-    assert fxp.fx_mul(a, b).raw == oracle_mul(a, b)
+    ar = data.draw(st.integers(fmt.raw_min, fmt.raw_max))
+    br = data.draw(st.integers(fmt.raw_min, fmt.raw_max))
+    a, b = FxArray(np.array(ar), fmt), FxArray(np.array(br), fmt)
+    assert int(fxp.fx_add_array(a, b).raw) == oracle_add(ar, br, fmt)
+    assert int(fxp.fx_mul_array(a, b).raw) == oracle_mul(ar, br, fmt)
     # commutativity, bit-exact
-    assert fxp.fx_add(a, b) == fxp.fx_add(b, a)
-    assert fxp.fx_mul(a, b) == fxp.fx_mul(b, a)
-
-
-@given(fmt=fmt_strategy(), data=st.data())
-def test_sub_matches_oracle(fmt, data):
-    a = FxValue(data.draw(st.integers(fmt.raw_min, fmt.raw_max)), fmt)
-    b = FxValue(data.draw(st.integers(fmt.raw_min, fmt.raw_max)), fmt)
-    expect = oracle_quantize(fxp.exact_value(a) - fxp.exact_value(b), fmt)
-    assert fxp.fx_sub(a, b).raw == expect
+    assert int(fxp.fx_add_array(a, b).raw) == int(fxp.fx_add_array(b, a).raw)
+    assert int(fxp.fx_mul_array(a, b).raw) == int(fxp.fx_mul_array(b, a).raw)
 
 
 def test_exhaustive_all_widths_up_to_8():
@@ -238,7 +193,7 @@ def test_exhaustive_all_widths_up_to_8():
             for mode in Overflow:
                 fmt = FxFormat(int_bits, frac, overflow=mode)
                 want_add = a + b
-                got_add = fxp.fx_add_array(fxp.FxArray(a, fmt), fxp.FxArray(b, fmt))
+                got_add = fxp.fx_add_array(FxArray(a, fmt), FxArray(b, fmt))
                 if mode is Overflow.SATURATE:
                     want_add = np.clip(want_add, fmt.raw_min, fmt.raw_max)
                 else:
@@ -247,7 +202,7 @@ def test_exhaustive_all_widths_up_to_8():
                 exact = (a * b).astype(np.float64) / float(1 << frac)
                 for rounding in Rounding:
                     fmt_m = FxFormat(int_bits, frac, overflow=mode, rounding=rounding)
-                    got = fxp.fx_mul_array(fxp.FxArray(a, fmt_m), fxp.FxArray(b, fmt_m))
+                    got = fxp.fx_mul_array(FxArray(a, fmt_m), FxArray(b, fmt_m))
                     r = np.rint(exact) if rounding is Rounding.ROUND_EVEN else np.floor(exact)
                     r = r.astype(np.int64)
                     if mode is Overflow.SATURATE:
@@ -261,21 +216,21 @@ def test_wrap_congruence():
     # wrap-mode results are congruent to the exact result mod 2**total
     fmt = FxFormat(3, 3, overflow=Overflow.WRAP)
     span = 1 << fmt.total_bits
-    for ar in range(fmt.raw_min, fmt.raw_max + 1, 3):
-        for br in range(fmt.raw_min, fmt.raw_max + 1, 3):
-            got = fxp.fx_add(FxValue(ar, fmt), FxValue(br, fmt)).raw
-            assert (got - (ar + br)) % span == 0
+    raws = np.arange(fmt.raw_min, fmt.raw_max + 1, 3, dtype=np.int64)
+    ar, br = np.repeat(raws, raws.size), np.tile(raws, raws.size)
+    got = fxp.fx_add_array(FxArray(ar, fmt), FxArray(br, fmt)).raw
+    assert np.all((got - (ar + br)) % span == 0)
 
 
 # ---------------------------------------------------------------------------
-# array layer equivalence with the scalar layer
+# vectors against the oracle
 # ---------------------------------------------------------------------------
 
 @given(fmt=fmt_strategy(), xs=st.lists(st.floats(-500, 500), min_size=1, max_size=20))
-def test_quantize_array_matches_scalar(fmt, xs):
+def test_quantize_array_matches_oracle(fmt, xs):
     arr = fxp.quantize_array(np.array(xs), fmt)
     for got, x in zip(arr.raw.flat, xs):
-        assert int(got) == fxp.quantize(x, fmt).raw
+        assert int(got) == oracle_quantize(Fraction(x), fmt)
 
 
 EDGE_VALUES = [0.0, -0.0, 0.5, -0.5, 1.5, -2.5, 5e-324, 2.0 ** 52 + 1, -(2.0 ** 61),
@@ -299,23 +254,21 @@ def test_quantize_array_every_width_matches_oracle(spec, overflow, rounding):
             want = fmt.raw_max if x > 0 else fmt.raw_min
         else:
             want = oracle_quantize(Fraction(x), fmt)
-        assert int(g) == want == fxp.quantize(x, fmt).raw, x
+        assert int(g) == want, x
 
 
 @given(fmt=fmt_strategy(), data=st.data())
-def test_elementwise_arrays_match_scalar(fmt, data):
+def test_elementwise_arrays_match_oracle(fmt, data):
     n = data.draw(st.integers(1, 12))
     raws = st.integers(fmt.raw_min, fmt.raw_max)
     a = [data.draw(raws) for _ in range(n)]
     b = [data.draw(raws) for _ in range(n)]
-    fa = fxp.FxArray(np.array(a, dtype=np.int64), fmt)
-    fb = fxp.FxArray(np.array(b, dtype=np.int64), fmt)
+    fa = FxArray(np.array(a, dtype=np.int64), fmt)
+    fb = FxArray(np.array(b, dtype=np.int64), fmt)
     add = fxp.fx_add_array(fa, fb)
     mul = fxp.fx_mul_array(fa, fb)
-    for i in range(n):
-        va, vb = FxValue(a[i], fmt), FxValue(b[i], fmt)
-        assert int(add.raw[i]) == fxp.fx_add(va, vb).raw
-        assert int(mul.raw[i]) == fxp.fx_mul(va, vb).raw
+    assert add.raw.tolist() == [oracle_add(x, y, fmt) for x, y in zip(a, b)]
+    assert mul.raw.tolist() == [oracle_mul(x, y, fmt) for x, y in zip(a, b)]
 
 
 @given(fmt=fmt_strategy(), data=st.data())
@@ -325,7 +278,7 @@ def test_matmul_single_rounding_oracle(fmt, data):
     raws = st.integers(fmt.raw_min, fmt.raw_max)
     m = np.array([[data.draw(raws) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
     v = np.array([data.draw(raws) for _ in range(cols)], dtype=np.int64)
-    out = fxp.fx_matmul(fxp.FxArray(m, fmt), fxp.FxArray(v, fmt))
+    out = fxp.fx_matmul(FxArray(m, fmt), FxArray(v, fmt))
     for i in range(rows):
         exact = sum(
             Fraction(int(m[i, j]), 1 << fmt.frac_bits)
@@ -339,8 +292,8 @@ def test_matmul_wide_format_object_fallback():
     # (32,32) products cannot be accumulated in int64; result must still be exact
     fmt = FxFormat(32, 32)
     big = fmt.raw_max
-    m = fxp.FxArray(np.array([[big, big]], dtype=object), fmt)
-    v = fxp.FxArray(np.array([big, big], dtype=object), fmt)
+    m = FxArray(np.array([[big, big]], dtype=object), fmt)
+    v = FxArray(np.array([big, big], dtype=object), fmt)
     out = fxp.fx_matmul(m, v)
     exact = 2 * Fraction(big, 1 << 32) ** 2
     assert int(out.raw[0]) == oracle_quantize(exact, fmt)
@@ -348,14 +301,14 @@ def test_matmul_wide_format_object_fallback():
 
 def test_sum_exact_then_overflow():
     fmt = FxFormat(4, 4)
-    a = fxp.FxArray(np.array([100, 100, -50], dtype=np.int64), fmt)
+    a = FxArray(np.array([100, 100, -50], dtype=np.int64), fmt)
     # exact sum 150 > raw_max 127, saturates once at the end
     assert int(fxp.fx_sum(a).raw) == fmt.raw_max
 
 
 def test_relu():
     fmt = FxFormat(4, 4)
-    a = fxp.FxArray(np.array([-3, 0, 7], dtype=np.int64), fmt)
+    a = FxArray(np.array([-3, 0, 7], dtype=np.int64), fmt)
     assert list(fxp.fx_relu(a).raw) == [0, 0, 7]
 
 
@@ -392,7 +345,7 @@ def test_matmul_90_terms_at_the_float64_edge(total, tier, overflow, rounding):
     # at 25 bits these raws bound the sum above 2**53 and int64 runs
     fmt = FxFormat(8, total - 8, overflow=overflow, rounding=rounding)
     a, b = edge_operands(fmt, 90, seed=total)
-    fa, fb = fxp.FxArray(a, fmt), fxp.FxArray(b, fmt)
+    fa, fb = FxArray(a, fmt), FxArray(b, fmt)
     assert fxp._product_dtype(a, b, fmt, 90) is tier
     got = fxp.fx_matmul(fa, fb)
     assert got.raw.dtype == np.int64
@@ -411,14 +364,14 @@ def test_mul_array_at_the_float64_edge(total, tier, overflow, rounding):
     a[:4] = [fmt.raw_min, fmt.raw_min, fmt.raw_max, fmt.raw_max]
     b[:4] = [fmt.raw_min, fmt.raw_max, fmt.raw_min, fmt.raw_max]
     assert fxp._product_dtype(a, b, fmt, 1) is tier
-    got = fxp.fx_mul_array(fxp.FxArray(a, fmt), fxp.FxArray(b, fmt))
-    want = [oracle_mul(FxValue(int(x), fmt), FxValue(int(y), fmt)) for x, y in zip(a, b)]
+    got = fxp.fx_mul_array(FxArray(a, fmt), FxArray(b, fmt))
+    want = [oracle_mul(x, y, fmt) for x, y in zip(a, b)]
     assert got.raw.tolist() == want
     # broadcasting one raw across a row, either operand the smaller one
-    scalar = fxp.FxArray(np.array([b[0]]), fmt)
-    want_b = [oracle_mul(FxValue(int(x), fmt), FxValue(int(b[0]), fmt)) for x in a]
-    assert fxp.fx_mul_array(fxp.FxArray(a, fmt), scalar).raw.tolist() == want_b
-    assert fxp.fx_mul_array(scalar, fxp.FxArray(a, fmt)).raw.tolist() == want_b
+    scalar = FxArray(np.array([b[0]]), fmt)
+    want_b = [oracle_mul(x, b[0], fmt) for x in a]
+    assert fxp.fx_mul_array(FxArray(a, fmt), scalar).raw.tolist() == want_b
+    assert fxp.fx_mul_array(scalar, FxArray(a, fmt)).raw.tolist() == want_b
 
 
 @pytest.mark.parametrize("overflow,rounding", MODES)
@@ -435,14 +388,14 @@ def test_data_bound_crossing(limit, below, at, overflow, rounding):
         a[0, 0], a[1] = 2 ** 29, -(2 ** 29) + 1
         b[0, 0], b[:, 1] = top, -top
         assert fxp._product_dtype(a, b, fmt, 4) is tier
-        got = fxp.fx_matmul(fxp.FxArray(a, fmt), fxp.FxArray(b, fmt))
+        got = fxp.fx_matmul(FxArray(a, fmt), FxArray(b, fmt))
         assert got.raw.dtype == np.int64
         assert got.raw.tolist() == oracle_matmul(a, b, fmt)
         # one term: 2**29 times 4 * top
         a1, b1 = a[:2, :2], b.T[:, :2] * 4
         assert fxp._product_dtype(a1, b1, fmt, 1) is tier
-        got = fxp.fx_mul_array(fxp.FxArray(a1, fmt), fxp.FxArray(b1, fmt))
-        want = [[oracle_mul(FxValue(int(x), fmt), FxValue(int(y), fmt))
+        got = fxp.fx_mul_array(FxArray(a1, fmt), FxArray(b1, fmt))
+        want = [[oracle_mul(x, y, fmt)
                  for x, y in zip(ra, rb)] for ra, rb in zip(a1, b1)]
         assert got.raw.tolist() == want
 
@@ -477,11 +430,11 @@ def test_ties_round_exactly_in_every_tier(spec, abits, bbits, tier):
         fmt = fxp.parse_format(spec, overflow=overflow, rounding=rounding)
         a, b = tie_pairs(fmt, abits, bbits)
         assert fxp._product_dtype(a, b, fmt, 1) is tier
-        want = [oracle_mul(FxValue(int(x), fmt), FxValue(int(y), fmt)) for x, y in zip(a, b)]
+        want = [oracle_mul(x, y, fmt) for x, y in zip(a, b)]
         assert all(fmt.raw_min < w < fmt.raw_max for w in want)
-        got = fxp.fx_mul_array(fxp.FxArray(a, fmt), fxp.FxArray(b, fmt))
+        got = fxp.fx_mul_array(FxArray(a, fmt), FxArray(b, fmt))
         assert [int(r) for r in got.raw] == want
-        outer = fxp.fx_matmul(fxp.FxArray(a[:, None], fmt), fxp.FxArray(b[None, :], fmt))
+        outer = fxp.fx_matmul(FxArray(a[:, None], fmt), FxArray(b[None, :], fmt))
         assert [int(outer.raw[i, i]) for i in range(len(a))] == want
 
 
@@ -496,7 +449,7 @@ def test_every_kernel_output_in_range(spec, overflow, rounding):
             for _ in range(2))
     if fmt.total_bits > 60:
         a, b = a.astype(object), b.astype(object)
-    fa, fb = fxp.FxArray(a, fmt), fxp.FxArray(b, fmt)
+    fa, fb = FxArray(a, fmt), FxArray(b, fmt)
     # 0-d results too: one dot product, one full sum
     outs = [fxp.fx_add_array(fa, fb), fxp.fx_mul_array(fa, fb), fxp.fx_matmul(fa, fb),
             fxp.fx_matmul(fa[0], fb[:, 0]), fxp.fx_sum(fa[0]),

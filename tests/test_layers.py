@@ -12,6 +12,7 @@ from fxattn import fxp
 from fxattn import layers
 from fxattn.fxp import FxFormat
 from fxattn.layers import Activation, DenseLayer
+from fxoracle import oracle_quantize
 
 
 def linear(m, v):
@@ -78,7 +79,7 @@ def test_matvec_linearity_float(alpha, data):
 
 
 def test_fixed_matvec_exhaustive_small():
-    # all 4x4 cases over a coarse 8-bit grid against the big-integer oracle
+    # all 4x4 cases over a coarse 8-bit grid against the exact-rational oracle
     fmt = FxFormat(4, 4)
     rng = np.random.default_rng(22)
     for _ in range(50):
@@ -89,8 +90,7 @@ def test_fixed_matvec_exhaustive_small():
         out = linear(m, v)
         for i in range(4):
             acc = int(sum(int(a) * int(b) for a, b in zip(m_raw[i], v_raw)))
-            want = fxp._handle_overflow_int(
-                fxp._shift_round_int(acc, fmt.frac_bits, fmt.rounding), fmt)
+            want = oracle_quantize(Fraction(acc, 1 << (2 * fmt.frac_bits)), fmt)
             assert int(out.raw[i]) == want
 
 

@@ -11,6 +11,7 @@ from fxattn import layers as L
 from fxattn import softmax as sm
 from fxattn.fxp import FxArray, FxFormat
 from fxattn.model import ModelConfig, WeightFormatError
+from draws import random_mha_weights
 
 # Regression floor for the analytic model on the seed-fixed synthetic set
 # (measured 0.96907 at n=10000, seed 20240601).
@@ -63,7 +64,7 @@ def test_config_seq_len_consistency():
 def test_zero_weights_uniform_output():
     cfg = small_cfg()
     w = model.zero_weights(cfg)
-    out = model.forward(cfg, w, np.random.default_rng(0).normal(size=(4, 6)))
+    out = model.forward_batch(cfg, w, np.random.default_rng(0).normal(size=(1, 4, 6)))
     assert np.allclose(out, 1 / 3, atol=1e-12)
 
 
@@ -71,11 +72,13 @@ def test_forward_shape_and_nan_validation():
     cfg = small_cfg()
     w = model.zero_weights(cfg)
     with pytest.raises(ValueError, match="shape"):
-        model.forward(cfg, w, np.zeros((3, 6)))
-    bad = np.zeros((4, 6))
-    bad[0, 0] = np.nan
+        model.forward_batch(cfg, w, np.zeros((1, 3, 6)))
+    with pytest.raises(ValueError, match="shape"):
+        model.forward_batch(cfg, w, np.zeros((4, 6)))
+    bad = np.zeros((1, 4, 6))
+    bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="NaN"):
-        model.forward(cfg, w, bad)
+        model.forward_batch(cfg, w, bad)
 
 
 def test_fixed_wide_format_tracks_float():
@@ -121,8 +124,8 @@ def test_forward_matches_batch():
     x = rng.normal(size=(3, 4, 6))
     batch = model.forward_batch(cfg, w, x, fmt=FxFormat(12, 8))
     for i in range(3):
-        assert np.array_equal(model.forward(cfg, w, x[i], fmt=FxFormat(12, 8)),
-                              batch[i])
+        assert np.array_equal(model.forward_batch(cfg, w, x[i:i + 1], fmt=FxFormat(12, 8)),
+                              batch[i:i + 1])
 
 
 def test_fixed_forward_composes_streaming_pipeline():
@@ -134,7 +137,7 @@ def test_fixed_forward_composes_streaming_pipeline():
     w = model.random_weights(cfg, rng)
     x = rng.normal(size=(5, 6))
 
-    got = model.forward(cfg, w, x, fmt=fmt)
+    got = model.forward_batch(cfg, w, x[None], fmt=fmt)[0]
 
     qw = model.quantize_weights(w, fmt)
     score_cfg = sm.make_softmax_config(fmt, n_max=cfg.seq_len + 1)
@@ -223,7 +226,7 @@ def test_analytic_b_logit_monotone_in_feature_mean():
     for bump in [0.0, 0.5, 1.0, 2.0, 5.0]:
         x = base.copy()
         x[:, 2] += bump
-        probs.append(model.forward(cfg, w, x)[0])
+        probs.append(model.forward_batch(cfg, w, x[None])[0, 0])
     assert all(b > a for a, b in zip(probs, probs[1:]))
 
 
@@ -234,7 +237,7 @@ def test_analytic_large_sd0_is_b():
     x[:, 2] = 20.0
     x[:, 4] = 0.3
     x[:, 5] = 0.2
-    out = model.forward(cfg, w, x)
+    out = model.forward_batch(cfg, w, x[None])[0]
     assert out.argmax() == 0
 
 
@@ -433,7 +436,7 @@ def test_weight_file_bytes_pinned(tmp_path, kind):
 
 def test_random_mha_weights_pinned():
     cfg = att.MhaConfig(d_model=6, num_heads=3, seq_len=4, d_k=4, d_v=5)
-    w = att.random_mha_weights(cfg, np.random.default_rng(7))
+    w = random_mha_weights(cfg, np.random.default_rng(7))
     h = hashlib.sha256()
     for name in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o"):
         h.update(np.ascontiguousarray(getattr(w, name), dtype="<f8").tobytes())

@@ -8,7 +8,8 @@ import pytest
 
 from fxattn import fxp
 from fxattn import softmax as sm
-from fxattn.fxp import FxFormat
+from fxattn.fxp import FxFormat, Overflow
+from fxoracle import oracle_mul
 
 FMT = FxFormat(10, 10)
 
@@ -36,8 +37,8 @@ def sample_inputs(n, seed=MEASUREMENT_SEED, length=15):
 def test_exp_table_unit_at_zero_edge():
     # with a range whose interior hits 0 at a bin edge, that bin holds e^0
     t = sm.build_exp_table(8, -4.0, 4.0, FMT)
-    idx = int(t.index_of(fxp.quantize(0.0, FMT).raw))
-    assert t.entries_raw[idx] == fxp.quantize(1.0, FMT).raw
+    idx = int(t.index_of(fxp.quantize_array(0.0, FMT).raw))
+    assert t.entries_raw[idx] == fxp.quantize_array(1.0, FMT).raw
 
 
 def test_exp_table_monotone():
@@ -54,7 +55,7 @@ def test_exp_table_per_bin_error():
 
 def test_inv_table_unit_at_one():
     t = sm.build_inv_table(1024, 1.0, 16.0, FMT)
-    one = fxp.quantize(1.0, FMT).raw
+    one = fxp.quantize_array(1.0, FMT).raw
     assert t.entries_raw[int(t.index_of(one))] == one
 
 
@@ -83,8 +84,8 @@ def test_table_validation():
 
 def test_index_clamps_to_edges():
     t = sm.build_exp_table(1024, -8.0, 0.0, FMT)
-    assert int(t.index_of(fxp.quantize(-100.0, FMT).raw)) == 0
-    assert int(t.index_of(fxp.quantize(5.0, FMT).raw)) == 1023
+    assert int(t.index_of(fxp.quantize_array(-100.0, FMT).raw)) == 0
+    assert int(t.index_of(fxp.quantize_array(5.0, FMT).raw)) == 1023
 
 
 def rational_index(t, raw):
@@ -115,7 +116,7 @@ def test_softmax_lut_uses_the_exact_exp_bin_at_56_frac_bits():
     v = fxp.FxArray(np.array([0, edge_raw - 1], dtype=object), fmt)
     e = [int(cfg.exp_table.entries_raw[i]) for i in (1023, 599)]
     inv = int(cfg.inv_table.entries_raw[rational_index(cfg.inv_table, sum(e))])
-    want = [fxp.fx_mul(fxp.FxValue(x, fmt), fxp.FxValue(inv, fmt)).raw for x in e]
+    want = [oracle_mul(x, inv, fmt) for x in e]
     assert [int(r) for r in sm.softmax_lut(cfg, v).raw] == want
 
 
@@ -220,6 +221,29 @@ def test_keep_zeroes_masked_and_matches_kept_subvector(spec):
     assert np.array_equal(out.raw[:, keep], sm.softmax_lut(cfg, q[:, keep]).raw)
     assert np.array_equal(sm.softmax_lut(cfg, q, np.ones(7, dtype=bool)).raw,
                           sm.softmax_lut(cfg, q).raw)
+
+
+@pytest.mark.parametrize("scores,keep", [
+    ([300.0, -300.0, 0.0], None),
+    ([300.0, -300.0, 0.0, 500.0], [True, True, True, False]),
+    ([-200.0, 400.0, -300.0], [True, False, True]),  # masked difference +600
+])
+def test_shift_saturates_in_every_overflow_mode(scores, keep):
+    # at fixed<20,10> a difference of +-600 lies outside the format; the
+    # shift saturates in wrap mode too, so a score far below the row
+    # maximum takes the exp table's bottom bin instead of wrapping to near 0
+    keep = np.ones(len(scores), dtype=bool) if keep is None else np.array(keep)
+    kept = np.array(scores)[keep]
+    for overflow in Overflow:
+        fmt = FxFormat(10, 10, overflow=overflow)
+        cfg = make_cfg(fmt)
+        out = sm.softmax_lut(cfg, fxp.quantize_array(np.array(scores), fmt), keep).raw
+        alone = sm.softmax_lut(cfg, fxp.quantize_array(kept, fmt)).raw
+        saturated = sm.softmax_lut(
+            make_cfg(FxFormat(10, 10)), fxp.quantize_array(kept, FxFormat(10, 10))).raw
+        assert out[~keep].tolist() == [0] * int((~keep).sum())
+        assert out[keep].tolist() == alone.tolist() == saturated.tolist()
+        assert alone[np.argmin(kept)] == 0
 
 
 # ---------------------------------------------------------------------------
