@@ -4,7 +4,7 @@ import numpy as np
 from fxattn import attention as att
 
 
-def random_mha_weights(cfg: att.MhaConfig, rng: np.random.Generator,
+def draw_mha_weights(cfg: att.MhaConfig, rng: np.random.Generator,
                        scale: float = 1.0) -> att.MhaWeights:
     """One attention layer's tensors, drawn in ``mha_shapes`` order."""
     return att.MhaWeights(**{

@@ -32,14 +32,14 @@ def oracle_quantize(x: Fraction, fmt: FxFormat) -> int:
     return apply_overflow(round_to_grid(x, fmt), fmt)
 
 
-def exact_value(raw, fmt: FxFormat) -> Fraction:
+def fraction_of(raw, fmt: FxFormat) -> Fraction:
     """The rational value of one raw integer of ``fmt``."""
     return Fraction(int(raw), 1 << fmt.frac_bits)
 
 
 def oracle_add(a, b, fmt: FxFormat) -> int:
-    return oracle_quantize(exact_value(a, fmt) + exact_value(b, fmt), fmt)
+    return oracle_quantize(fraction_of(a, fmt) + fraction_of(b, fmt), fmt)
 
 
 def oracle_mul(a, b, fmt: FxFormat) -> int:
-    return oracle_quantize(exact_value(a, fmt) * exact_value(b, fmt), fmt)
+    return oracle_quantize(fraction_of(a, fmt) * fraction_of(b, fmt), fmt)

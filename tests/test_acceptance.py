@@ -16,8 +16,8 @@ from fxattn import costmodel as cm
 from fxattn import data, fxp, metrics, model, sweeps
 from fxattn import softmax as sm
 from fxattn.fxp import FxFormat, Overflow, Rounding
-from draws import random_mha_weights
-from fxoracle import exact_value
+from draws import draw_mha_weights
+from fxoracle import fraction_of
 
 _MODULE_T0 = time.monotonic()
 
@@ -65,7 +65,7 @@ def test_criterion_1_streaming_reference_bit_exact():
                        rounding=Rounding.ROUND_EVEN if rng.random() < 0.5 else Rounding.TRUNCATE)
         cfg = att.MhaConfig(d_model=d_model, num_heads=heads, seq_len=seq,
                             d_k=d_k, d_v=d_v)
-        w = att.quantize_mha_weights(random_mha_weights(cfg, rng), fmt)
+        w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
         x = fxp.quantize_array(rng.normal(0, 1.5, size=(seq, d_model)), fmt)
         scfg = sm.make_softmax_config(fmt, n_max=seq + 1)
         out_s = att.run_mha_streaming(cfg, w, scfg, x)
@@ -120,7 +120,7 @@ def test_criterion_2_exhaustive_8bit_oracle():
     fmt = FxFormat(3, 5)
     got = fxp.fx_mul_array(fxp.FxArray(a[idx], fmt), fxp.FxArray(b[idx], fmt))
     for i, g in zip(idx, got.raw.tolist()):
-        exact = exact_value(a[i], fmt) * exact_value(b[i], fmt)
+        exact = fraction_of(a[i], fmt) * fraction_of(b[i], fmt)
         scaled = exact * 32
         lo_i = scaled.__floor__()
         frac_part = scaled - lo_i

@@ -9,7 +9,7 @@ from fxattn import fxp
 from fxattn import softmax as sm
 from fxattn.attention import ChannelError, MhaConfig, StreamChannel
 from fxattn.fxp import FxFormat, FxArray
-from draws import random_mha_weights
+from draws import draw_mha_weights
 
 
 def make_softmax(fmt, seq_len):
@@ -86,7 +86,7 @@ def test_config_indivisible_needs_explicit_dk():
 
 def test_weights_shape_validation():
     cfg = MhaConfig(d_model=4, num_heads=2, seq_len=3, d_k=2, d_v=1)
-    w = random_mha_weights(cfg, np.random.default_rng(0))
+    w = draw_mha_weights(cfg, np.random.default_rng(0))
     w.w_o = w.w_o.T.copy()
     with pytest.raises(ValueError, match="w_o"):
         w.validate(cfg)
@@ -108,7 +108,7 @@ def test_stage1_identity_passthrough():
 
 def test_stage1_zero_weights():
     cfg = MhaConfig(d_model=3, num_heads=2, seq_len=4, d_k=2, d_v=2)
-    w = random_mha_weights(cfg, np.random.default_rng(0))
+    w = draw_mha_weights(cfg, np.random.default_rng(0))
     w.w_q = np.zeros_like(w.w_q)
     w.b_q = np.zeros_like(w.b_q)
     q, _, _ = att.stage1_project(cfg, w, fill_channel(rows_of(np.ones((4, 3)))))
@@ -127,7 +127,7 @@ def test_stage1_wrong_row_count():
 def test_stage1_matches_dense_oracle():
     cfg = MhaConfig(d_model=5, num_heads=2, seq_len=4, d_k=3, d_v=2)
     rng = np.random.default_rng(1)
-    w = random_mha_weights(cfg, rng)
+    w = draw_mha_weights(cfg, rng)
     x = rng.normal(size=(4, 5))
     q, k, v = att.stage1_project(cfg, w, fill_channel(rows_of(x)))
     for h in range(2):
@@ -212,7 +212,7 @@ def test_stage4_identity_single_head():
 def test_stage4_zero_weights_bias_only():
     cfg = MhaConfig(d_model=3, num_heads=2, seq_len=2, d_k=2, d_v=2)
     rng = np.random.default_rng(5)
-    w = random_mha_weights(cfg, rng)
+    w = draw_mha_weights(cfg, rng)
     w.w_o = np.zeros_like(w.w_o)
     rows = [fill_channel([rng.normal(size=2) for _ in range(2)]) for _ in range(2)]
     out = att.stage4_concat_project(cfg, w, rows)
@@ -223,7 +223,7 @@ def test_stage4_zero_weights_bias_only():
 def test_stage4_matches_concat_oracle():
     cfg = MhaConfig(d_model=4, num_heads=2, seq_len=3, d_k=2, d_v=2)
     rng = np.random.default_rng(6)
-    w = random_mha_weights(cfg, rng)
+    w = draw_mha_weights(cfg, rng)
     blocks = [rng.normal(size=(3, 2)) for _ in range(2)]
     out = att.stage4_concat_project(
         cfg, w, [fill_channel(rows_of(b)) for b in blocks])
@@ -247,7 +247,7 @@ def test_streaming_seq1_analytic():
 
 def test_streaming_zero_weights_bias_output():
     cfg = MhaConfig(d_model=4, num_heads=2, seq_len=3, d_k=2)
-    w = random_mha_weights(cfg, np.random.default_rng(7))
+    w = draw_mha_weights(cfg, np.random.default_rng(7))
     for name in ["w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o"]:
         setattr(w, name, np.zeros_like(getattr(w, name)))
     out = att.run_mha_streaming(cfg, w, None, np.ones((3, 4)))
@@ -257,7 +257,7 @@ def test_streaming_zero_weights_bias_output():
 def test_float_reference_definition_single_head():
     cfg = MhaConfig(d_model=4, num_heads=1, seq_len=6, d_k=4)
     rng = np.random.default_rng(8)
-    w = random_mha_weights(cfg, rng)
+    w = draw_mha_weights(cfg, rng)
     x = rng.normal(size=(6, 4))
     got = att.run_mha_reference(cfg, w, None, x)
     q = x @ w.w_q[0].T + w.b_q[0]
@@ -271,7 +271,7 @@ def test_float_reference_definition_single_head():
 def test_streaming_equals_reference_float(heads, d_k, d_v, seq):
     cfg = MhaConfig(d_model=4, num_heads=heads, seq_len=seq, d_k=d_k, d_v=d_v)
     rng = np.random.default_rng(9)
-    w = random_mha_weights(cfg, rng)
+    w = draw_mha_weights(cfg, rng)
     x = rng.normal(size=(seq, 4))
     a = att.run_mha_streaming(cfg, w, None, x)
     b = att.run_mha_reference(cfg, w, None, x)
@@ -283,7 +283,7 @@ def test_streaming_equals_reference_fixed(int_bits, frac_bits):
     fmt = FxFormat(int_bits, frac_bits)
     cfg = MhaConfig(d_model=6, num_heads=2, seq_len=7, d_k=3)
     rng = np.random.default_rng(10)
-    w = att.quantize_mha_weights(random_mha_weights(cfg, rng), fmt)
+    w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
     x = fxp.quantize_array(rng.normal(size=(7, 6)), fmt)
     scfg = make_softmax(fmt, 7)
     a = att.run_mha_streaming(cfg, w, scfg, x)
@@ -295,7 +295,7 @@ def test_batch_equals_reference_fixed():
     fmt = FxFormat(10, 10)
     cfg = MhaConfig(d_model=6, num_heads=2, seq_len=5, d_k=3)
     rng = np.random.default_rng(11)
-    w = att.quantize_mha_weights(random_mha_weights(cfg, rng), fmt)
+    w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
     xs = rng.normal(size=(8, 5, 6))
     scfg = make_softmax(fmt, 5)
     batch = att.mha_forward_batch(cfg, w, scfg, fxp.quantize_array(xs, fmt))
@@ -307,7 +307,7 @@ def test_batch_equals_reference_fixed():
 def test_batch_close_to_reference_float():
     cfg = MhaConfig(d_model=6, num_heads=2, seq_len=5, d_k=3)
     rng = np.random.default_rng(12)
-    w = random_mha_weights(cfg, rng)
+    w = draw_mha_weights(cfg, rng)
     xs = rng.normal(size=(4, 5, 6))
     batch = att.mha_forward_batch(cfg, w, None, xs)
     for i in range(4):
@@ -320,7 +320,7 @@ def test_row_permutation_equivariance_fixed():
     fmt = FxFormat(10, 10)
     cfg = MhaConfig(d_model=6, num_heads=2, seq_len=6, d_k=3)
     rng = np.random.default_rng(13)
-    w = att.quantize_mha_weights(random_mha_weights(cfg, rng), fmt)
+    w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
     scfg = make_softmax(fmt, 6)
     x = fxp.quantize_array(rng.normal(size=(6, 6)), fmt)
     perm = rng.permutation(6)
@@ -332,7 +332,7 @@ def test_row_permutation_equivariance_fixed():
 def test_row_permutation_equivariance_float():
     cfg = MhaConfig(d_model=4, num_heads=1, seq_len=5, d_k=4)
     rng = np.random.default_rng(14)
-    w = random_mha_weights(cfg, rng)
+    w = draw_mha_weights(cfg, rng)
     x = rng.normal(size=(5, 4))
     perm = rng.permutation(5)
     out = att.run_mha_reference(cfg, w, None, x)
@@ -344,7 +344,7 @@ def test_fixed_scores_nonnegative_and_bounded_sums():
     fmt = FxFormat(10, 10)
     cfg = MhaConfig(d_model=6, num_heads=1, seq_len=5, d_k=6)
     rng = np.random.default_rng(15)
-    w = att.quantize_mha_weights(random_mha_weights(cfg, rng), fmt)
+    w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
     x = fxp.quantize_array(rng.normal(size=(5, 6)), fmt)
     scfg = make_softmax(fmt, 5)
     in_q, in_k, _ = att.stage1_project(cfg, w, fill_channel(rows_of(x)))
@@ -358,7 +358,7 @@ def test_fixed_scores_nonnegative_and_bounded_sums():
 def test_mask_hook_excludes_rows_float():
     cfg = MhaConfig(d_model=4, num_heads=1, seq_len=4, d_k=4)
     rng = np.random.default_rng(16)
-    w = random_mha_weights(cfg, rng)
+    w = draw_mha_weights(cfg, rng)
     x = rng.normal(size=(4, 4))
     mask = np.array([True, True, False, True])
     out = att.run_mha_streaming(cfg, w, None, x, mask=mask)
@@ -377,7 +377,7 @@ def test_mask_fixed_masked_key_gets_zero_weight(spec):
     fmt = fxp.parse_format(spec)
     cfg = MhaConfig(d_model=6, num_heads=2, seq_len=5, d_k=3)
     rng = np.random.default_rng(17)
-    w = att.quantize_mha_weights(random_mha_weights(cfg, rng), fmt)
+    w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
     x = fxp.quantize_array(rng.normal(size=(5, 6)), fmt)
     scfg = make_softmax(fmt, 5)
     mask = np.array([True, True, False, True, False])
@@ -398,7 +398,7 @@ def test_mask_fixed_paths_agree_and_ignore_masked_rows(spec):
     fmt = fxp.parse_format(spec)
     cfg = MhaConfig(d_model=6, num_heads=2, seq_len=5, d_k=3)
     rng = np.random.default_rng(18)
-    w = att.quantize_mha_weights(random_mha_weights(cfg, rng), fmt)
+    w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
     scfg = make_softmax(fmt, 5)
     mask = np.array([True, False, True, True, False])
     x = rng.normal(size=(5, 6))
@@ -424,7 +424,7 @@ def test_mask_fixed_paths_agree_and_ignore_masked_rows(spec):
 ], ids=["int", "short", "2d", "empty"])
 def test_bad_mask_rejected_on_every_path(mask):
     cfg = MhaConfig(d_model=4, num_heads=1, seq_len=4, d_k=4)
-    w = random_mha_weights(cfg, np.random.default_rng(0))
+    w = draw_mha_weights(cfg, np.random.default_rng(0))
     x = np.ones((4, 4))
     for run, xi in ((att.run_mha_streaming, x), (att.run_mha_reference, x),
                     (att.mha_forward_batch, x[None])):
@@ -434,6 +434,6 @@ def test_bad_mask_rejected_on_every_path(mask):
 
 def test_input_shape_rejected():
     cfg = MhaConfig(d_model=4, num_heads=1, seq_len=4, d_k=4)
-    w = random_mha_weights(cfg, np.random.default_rng(0))
+    w = draw_mha_weights(cfg, np.random.default_rng(0))
     with pytest.raises(ValueError):
         att.run_mha_streaming(cfg, w, None, np.ones((3, 4)))

@@ -11,7 +11,7 @@ from fxattn import layers as L
 from fxattn import softmax as sm
 from fxattn.fxp import FxArray, FxFormat
 from fxattn.model import ModelConfig, WeightFormatError
-from draws import random_mha_weights
+from draws import draw_mha_weights
 
 # Regression floor for the analytic model on the seed-fixed synthetic set
 # (measured 0.96907 at n=10000, seed 20240601).
@@ -436,7 +436,7 @@ def test_weight_file_bytes_pinned(tmp_path, kind):
 
 def test_random_mha_weights_pinned():
     cfg = att.MhaConfig(d_model=6, num_heads=3, seq_len=4, d_k=4, d_v=5)
-    w = random_mha_weights(cfg, np.random.default_rng(7))
+    w = draw_mha_weights(cfg, np.random.default_rng(7))
     h = hashlib.sha256()
     for name in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o"):
         h.update(np.ascontiguousarray(getattr(w, name), dtype="<f8").tobytes())
