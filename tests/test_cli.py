@@ -180,3 +180,45 @@ def test_infer_saturates_values_past_float_range_of_the_scale(tmp_path, run_cli)
                   "--fmt", "fixed<16,8>", "--out", str(tmp_path))
     assert out.returncode == 0, out.stderr
     assert "Traceback" not in out.stderr
+
+
+# sha256 of (artifact CSV, stdout with the --out directory shown as OUT) for
+# each cost-model command; "tiny" is a custom device the rf=1 model overfills
+TINY_DEVICE = {"name": "tiny", "dsp_total": 100, "lut_total": 10 ** 5,
+               "ff_total": 10 ** 5, "bram_total": 10, "clock_ns": 5.0}
+PINNED_COST_MODEL_SHA256 = {
+    ("report-resources", "--rf", "1"): (
+        "8305c228cd0b371135e3e855c7acf476f933cacb0e844d4db6e97d6dbf673124",
+        "024c33a7d78201456fb70ef5b259acc8ba86e4500e8dccbe55278d575166d4c3"),
+    ("report-resources", "--rf", "2"): (
+        "0458e213eeccdd12a558d99e9ad08eed24040ce3d6f0f52f0c29cc0f2c1badc3",
+        "15b4e1477759245464f12d0c3e7decabd38b4ddf0e249416ad1f9e691c235a27"),
+    ("report-resources", "--rf", "7"): (
+        "4cee0dc0da7d2f781a45a9412e97a513c14727f06e497f077ca6649a6f2a4a6c",
+        "1841a198a65a938184cb92c751f434c3395f385e0b11855c594e58605a3b816f"),
+    ("report-resources", "--rf", "3", "--fmt", "fixed<64,32>"): (
+        "afcf3553e5c7795a5a422d967baa3a83e610025f9340c11b0d25ee51ea93655c",
+        "faa4dd4b1d429e5b1e7ee1970e88c2fa08c14702a5fbf223bf7f59b1314d7f08"),
+    ("report-resources", "--rf", "1", "--device", "custom:DEVICE"): (
+        "8305c228cd0b371135e3e855c7acf476f933cacb0e844d4db6e97d6dbf673124",
+        "47fc2fed3dfb5373819543b02273dd0e9ab6479b5ec97b9822e5e713ede0801d"),
+    ("sweep-reuse", "--rf", "1,2,3,4,8"): (
+        "80c82cbdbdfdf41cb8a8a865860932e6f8207ae9abc0f52fcb102f93b957f257",
+        "f22845c486d374670cbbcd122f01be4d2b7cd960ae77c24713dbe17358aeb1a4"),
+}
+
+
+def test_cost_model_output_pinned(tmp_path, run_cli):
+    import hashlib
+    import json
+    device = tmp_path / "tiny.json"
+    device.write_text(json.dumps(TINY_DEVICE))
+    for i, (argv, want) in enumerate(PINNED_COST_MODEL_SHA256.items()):
+        out_dir = tmp_path / str(i)
+        out = run_cli(*(a.replace("DEVICE", str(device)) for a in argv),
+                      "--out", str(out_dir))
+        assert out.returncode == 0, out.stderr
+        artifact = "resources.csv" if argv[0] == "report-resources" else "reuse_sweep.csv"
+        got = (hashlib.sha256((out_dir / artifact).read_bytes()).hexdigest(),
+               hashlib.sha256(out.stdout.replace(str(out_dir), "OUT").encode()).hexdigest())
+        assert got == want, (argv, got, out.stdout)
