@@ -1,10 +1,12 @@
 """Analytic FPGA resource and latency estimates parameterized by reuse factor.
 
-Multiplier accounting follows the hardware mapping: every dense layer
-instantiates in*out multipliers; attention contributes its projection,
-score, score-apply and output-projection multiplies per head. A reuse
-factor rf time-multiplexes each layer's multipliers, so instantiated DSPs
-are ceil(multipliers / rf) per layer.
+One table lists every hardware layer once, in pipeline order, with its
+multipliers and storage: every dense layer instantiates in*out
+multipliers; attention contributes its projection, score, score-apply and
+output-projection multiplies per head, and stores each stage's channel and
+its softmax tables. A reuse factor rf time-multiplexes each layer's
+multipliers, so instantiated DSPs are ceil(multipliers / rf) per layer.
+Report totals and utilization are sums over that table.
 
 Latency is affine in rf: a fixed pipeline depth plus one initiation
 interval per rf step. The published synthesis numbers for this network
@@ -12,7 +14,8 @@ interval per rf step. The published synthesis numbers for this network
 proportional across rf = 1/2/4, so the shipped calibration is fit to the
 rf=1 point exactly and the rf=2/4 points are validation only. Calibration
 math runs on exact rationals so the rf=1 report reproduces the published
-figures to the last digit.
+figures to the last digit. It holds for the benchmark geometry only, so
+latency is refused for any other ModelConfig.
 
 LUT/FF coefficients are first-order placeholders, and every resource
 report flags them "uncalibrated".
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from fxattn.fxp import FxFormat
@@ -41,6 +44,7 @@ FIXED_DEPTH_CYCLES = Fraction(87729, 329)
 LUT_PER_MULT_BIT = 12.0
 FF_PER_MULT_BIT = 8.0
 BRAM_BLOCK_BITS = 36864  # one 36 kbit block
+RESOURCES = ("dsp", "lut", "ff", "bram")
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,17 @@ class DeviceProfile:
     clock_ns: float
 
     def __post_init__(self) -> None:
-        for f in ("dsp_total", "lut_total", "ff_total", "bram_total", "clock_ns"):
-            if getattr(self, f) <= 0:
-                raise ValueError(f"{f} must be positive")
+        if type(self.name) is not str:
+            raise ValueError(f"device field 'name' must be a string, found {self.name!r}")
+        for f in RESOURCES:
+            v = getattr(self, f"{f}_total")
+            if type(v) is not int or v < 1:
+                raise ValueError(f"device field '{f}_total' must be an integer >= 1, "
+                                 f"found {v!r}")
+        c = self.clock_ns
+        if type(c) not in (int, float) or not math.isfinite(c) or c <= 0:
+            raise ValueError(f"device field 'clock_ns' must be a finite number > 0, "
+                             f"found {c!r}")
 
 
 def vu13p() -> DeviceProfile:
@@ -66,14 +78,19 @@ def vu13p() -> DeviceProfile:
 
 
 def load_device(path) -> DeviceProfile:
-    with open(path) as fh:
-        d = json.load(fh)
     try:
-        return DeviceProfile(name=d["name"], dsp_total=d["dsp_total"],
-                             lut_total=d["lut_total"], ff_total=d["ff_total"],
-                             bram_total=d["bram_total"], clock_ns=d["clock_ns"])
+        with open(path) as fh:
+            d = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: unparseable device profile: {exc}") from None
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: device profile must be a map of fields")
+    try:
+        return DeviceProfile(**{f.name: d[f.name] for f in fields(DeviceProfile)})
     except KeyError as exc:
         raise ValueError(f"{path}: device profile missing field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def device_by_name(name: str) -> DeviceProfile:
@@ -85,41 +102,39 @@ def device_by_name(name: str) -> DeviceProfile:
 
 
 # ---------------------------------------------------------------------------
-# multiplier accounting
+# resources
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LayerMultipliers:
-    name: str
-    multipliers: int
+def _layers(cfg: ModelConfig, width_bits: int) -> list[tuple[str, int, int]]:
+    """Every hardware layer in pipeline order: (name, multipliers, storage bits).
 
-
-def count_multipliers(cfg: ModelConfig) -> list[LayerMultipliers]:
-    """Hardware multipliers per layer (counted once; tokens reuse them)."""
+    Multipliers are counted once; tokens reuse them. Storage is the channel
+    after each attention stage, seq_len rows of width_bits words, plus one
+    exp/inv table pair per softmax: one per head at the scores, one at the
+    output layer.
+    """
     m = cfg.encoder.mha
+    s, h = m.seq_len, m.num_heads
     ff0, ff1 = cfg.encoder.ff_dims
-    out: list[LayerMultipliers] = []
+    tables = 2 * cfg.softmax_table_size * width_bits
+    out = []
     for i in range(cfg.num_encoder_blocks):
+        qkv = h * (2 * m.d_k + m.d_v)
         out += [
-            LayerMultipliers(f"block{i}.mha.qkv_proj",
-                             m.num_heads * m.d_model * (2 * m.d_k + m.d_v)),
-            LayerMultipliers(f"block{i}.mha.scores", m.num_heads * m.d_k * m.seq_len),
-            LayerMultipliers(f"block{i}.mha.apply", m.num_heads * m.seq_len * m.d_v),
-            LayerMultipliers(f"block{i}.mha.out_proj", m.num_heads * m.d_v * m.d_model),
-            LayerMultipliers(f"block{i}.ff1", m.d_model * ff0),
-            LayerMultipliers(f"block{i}.ff2", ff0 * ff1),
+            (f"block{i}.mha.qkv_proj", m.d_model * qkv, s * qkv * width_bits),
+            (f"block{i}.mha.scores", h * m.d_k * s, s * h * s * width_bits + h * tables),
+            (f"block{i}.mha.apply", h * s * m.d_v, s * h * m.d_v * width_bits),
+            (f"block{i}.mha.out_proj", h * m.d_v * m.d_model, s * m.d_model * width_bits),
+            (f"block{i}.ff1", m.d_model * ff0, 0),
+            (f"block{i}.ff2", ff0 * ff1, 0),
         ]
     width = cfg.flatten_dim
     for j, hdim in enumerate(cfg.head_dims, start=1):
-        out.append(LayerMultipliers(f"head{j}", width * hdim))
+        out.append((f"head{j}", width * hdim, 0))
         width = hdim
-    out.append(LayerMultipliers("output", width * cfg.num_classes))
+    out.append(("output", width * cfg.num_classes, tables))
     return out
 
-
-# ---------------------------------------------------------------------------
-# resources
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LayerResource:
@@ -134,52 +149,41 @@ class LayerResource:
 @dataclass(frozen=True)
 class ResourceReport:
     layers: tuple[LayerResource, ...]
-    dsp: int
-    lut: int
-    ff: int
-    bram: int
-    utilization: dict
-    over_subscribed: tuple[str, ...]
     device: DeviceProfile
     reuse_factor: int
     fmt: FxFormat
+
+    @property
+    def totals(self) -> dict[str, int]:
+        return {r: sum(getattr(l, r) for l in self.layers) for r in RESOURCES}
+
+    @property
+    def utilization(self) -> dict[str, float]:
+        return {r: t / getattr(self.device, f"{r}_total") for r, t in self.totals.items()}
+
+    @property
+    def over_subscribed(self) -> tuple[str, ...]:
+        return tuple(r for r, u in self.utilization.items() if u > 1.0)
 
     def to_csv_rows(self) -> list[list]:
         rows = [["layer", "mults", "dsp", "lut", "ff", "bram"]]
         for l in self.layers:
             rows.append([l.name, l.multipliers, l.dsp, l.lut, l.ff, l.bram])
         rows.append(["total", sum(l.multipliers for l in self.layers),
-                     self.dsp, self.lut, self.ff, self.bram])
+                     *self.totals.values()])
         return rows
 
     def summary(self) -> str:
-        flags = "" if not self.over_subscribed else \
-            f"  OVER-SUBSCRIBED: {', '.join(self.over_subscribed)}"
-        lines = [
-            f"resources for rf={self.reuse_factor}, {self.fmt.spec()} "
-            f"on {self.device.name} (LUT/FF coefficients uncalibrated)",
-            f"  DSP  {self.dsp:>9} / {self.device.dsp_total:<9} "
-            f"({self.utilization['dsp']:.1%}){flags}",
-            f"  LUT  {self.lut:>9} / {self.device.lut_total:<9} "
-            f"({self.utilization['lut']:.1%})",
-            f"  FF   {self.ff:>9} / {self.device.ff_total:<9} "
-            f"({self.utilization['ff']:.1%})",
-            f"  BRAM {self.bram:>9} / {self.device.bram_total:<9} "
-            f"({self.utilization['bram']:.1%})",
-        ]
+        totals, use = self.totals, self.utilization
+        over = self.over_subscribed
+        flags = f"  OVER-SUBSCRIBED: {', '.join(over)}" if over else ""
+        lines = [f"resources for rf={self.reuse_factor}, {self.fmt.spec()} "
+                 f"on {self.device.name} (LUT/FF coefficients uncalibrated)"]
+        for r in RESOURCES:
+            lines.append(f"  {r.upper():<4} {totals[r]:>9} / "
+                         f"{getattr(self.device, f'{r}_total'):<9} ({use[r]:.1%})"
+                         + (flags if r == "dsp" else ""))
         return "\n".join(lines)
-
-
-def _fifo_bits(cfg: ModelConfig, width_bits: int) -> dict[str, int]:
-    """Channel storage per attention stage: seq_len rows each."""
-    m = cfg.encoder.mha
-    s = m.seq_len
-    return {
-        "qkv_proj": s * m.num_heads * (2 * m.d_k + m.d_v) * width_bits,
-        "scores": s * m.num_heads * s * width_bits,
-        "apply": s * m.num_heads * m.d_v * width_bits,
-        "out_proj": s * m.d_model * width_bits,
-    }
 
 
 def estimate_resources(cfg: ModelConfig, fmt: FxFormat, rf: int,
@@ -187,43 +191,13 @@ def estimate_resources(cfg: ModelConfig, fmt: FxFormat, rf: int,
     if rf < 1:
         raise ValueError("reuse factor must be >= 1")
     bits = fmt.total_bits
-    table_bits = 2 * cfg.softmax_table_size * bits  # exp + inv per softmax
-    fifo = _fifo_bits(cfg, bits)
-
-    def bram_of(storage_bits: int) -> int:
-        return math.ceil(storage_bits / BRAM_BLOCK_BITS) if storage_bits else 0
-
     layers = []
-    for lm in count_multipliers(cfg):
-        dsp = math.ceil(lm.multipliers / rf)
-        lut = round(dsp * LUT_PER_MULT_BIT * bits)
-        ff = round(dsp * FF_PER_MULT_BIT * bits)
-        storage = 0
-        stage = lm.name.split(".")[-1]
-        if ".mha." in lm.name:
-            storage += fifo[stage]
-            if stage == "scores":
-                # one exp/inv table pair per head
-                storage += cfg.encoder.mha.num_heads * table_bits
-        elif lm.name == "output":
-            storage += table_bits
-        layers.append(LayerResource(lm.name, lm.multipliers, dsp, lut, ff,
-                                    bram_of(storage)))
-
-    dsp = sum(l.dsp for l in layers)
-    lut = sum(l.lut for l in layers)
-    ff = sum(l.ff for l in layers)
-    bram = sum(l.bram for l in layers)
-    utilization = {
-        "dsp": dsp / dev.dsp_total,
-        "lut": lut / dev.lut_total,
-        "ff": ff / dev.ff_total,
-        "bram": bram / dev.bram_total,
-    }
-    over = tuple(k for k, v in utilization.items() if v > 1.0)
-    return ResourceReport(layers=tuple(layers), dsp=dsp, lut=lut, ff=ff, bram=bram,
-                          utilization=utilization, over_subscribed=over,
-                          device=dev, reuse_factor=rf, fmt=fmt)
+    for name, mults, storage in _layers(cfg, bits):
+        dsp = math.ceil(mults / rf)
+        layers.append(LayerResource(name, mults, dsp, round(dsp * LUT_PER_MULT_BIT * bits),
+                                    round(dsp * FF_PER_MULT_BIT * bits),
+                                    math.ceil(storage / BRAM_BLOCK_BITS)))
+    return ResourceReport(tuple(layers), dev, rf, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +216,12 @@ class LatencyReport:
 def estimate_latency(cfg: ModelConfig, rf: int, dev: DeviceProfile) -> LatencyReport:
     """ii = published_ii * rf; latency_cycles = fixed_depth + published_ii * rf.
 
-    The calibration encodes the benchmark network, so cfg only rides along
-    for signature symmetry with estimate_resources.
+    The calibration encodes the benchmark network, so any other geometry is
+    refused rather than given the benchmark's figures.
     """
-    del cfg
+    if cfg != ModelConfig():
+        raise ValueError("latency is calibrated for the benchmark geometry "
+                         "ModelConfig() only")
     if rf < 1:
         raise ValueError("reuse factor must be >= 1")
     clock = Fraction(str(dev.clock_ns))

@@ -63,7 +63,8 @@ class LutTable:
         raw = np.asarray(raw)
         if raw.dtype == object or not fits:
             raw = raw.astype(object)
-        i = np.asarray(raw * p - r, dtype=raw.dtype)
+        i = np.asarray(raw * p, dtype=raw.dtype)
+        i -= r
         np.floor_divide(i, q, out=i)
         np.clip(i, 0, self.size - 1, out=i)
         return i.astype(np.int64, copy=False)

@@ -83,6 +83,5 @@ def sweep_reuse(cfg: ModelConfig, rfs, fmt: FxFormat, dev: cm.DeviceProfile) -> 
     for rf in rfs:
         res = cm.estimate_resources(cfg, fmt, rf, dev)
         lat = cm.estimate_latency(cfg, rf, dev)
-        rows.append((int(rf), res.dsp, res.lut, res.ff, res.bram,
-                     lat.latency_us, lat.ii_ns))
+        rows.append((int(rf), *res.totals.values(), lat.latency_us, lat.ii_ns))
     return SweepResult(columns=tuple(REUSE_CSV_HEADER), rows=tuple(rows))

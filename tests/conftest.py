@@ -1,4 +1,4 @@
-"""Shared fixtures: running the fxattn CLI in a subprocess."""
+"""Shared fixtures: running the fxattn CLI and scripts in a subprocess."""
 import os
 import subprocess
 import sys
@@ -10,8 +10,8 @@ import fxattn
 
 
 @pytest.fixture
-def run_cli():
-    """Run ``python -m fxattn *args`` in ``cwd``; returns the CompletedProcess.
+def run_python():
+    """Run ``python *args`` in ``cwd``; returns the CompletedProcess.
 
     The child imports the same fxattn as this process, from any working
     directory: the directory holding the imported package goes first on
@@ -23,6 +23,12 @@ def run_cli():
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
 
     def run(*args, cwd=None):
-        return subprocess.run([sys.executable, "-m", "fxattn", *args],
+        return subprocess.run([sys.executable, *args],
                               capture_output=True, text=True, cwd=cwd, env=env)
     return run
+
+
+@pytest.fixture
+def run_cli(run_python):
+    """Run ``python -m fxattn *args`` in ``cwd``, as ``run_python`` does."""
+    return lambda *args, cwd=None: run_python("-m", "fxattn", *args, cwd=cwd)

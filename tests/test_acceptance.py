@@ -212,9 +212,10 @@ def test_criterion_6_resource_feasibility():
     dsps = {}
     for rf in (1, 2, 4):
         rep = cm.estimate_resources(cfg, fmt, rf, dev)
-        dsps[rf] = rep.dsp
-        assert rep.dsp <= dev.dsp_total, f"rf={rf}: {rep.dsp} > {dev.dsp_total}"
-    assert dsps[1] == TOTAL_MULTIPLIERS == sum(l.multipliers for l in cm.count_multipliers(cfg))
+        dsps[rf] = rep.totals["dsp"]
+        assert dsps[rf] <= dev.dsp_total, f"rf={rf}: {dsps[rf]} > {dev.dsp_total}"
+    assert dsps[1] == TOTAL_MULTIPLIERS == sum(
+        l.multipliers for l in cm.estimate_resources(cfg, fmt, 1, dev).layers)
     with criterion(6, f"DSP {dsps} all <= {dev.dsp_total}; "
                       f"rf=1 == frozen {TOTAL_MULTIPLIERS}"):
         pass

@@ -222,3 +222,31 @@ def test_cost_model_output_pinned(tmp_path, run_cli):
         got = (hashlib.sha256((out_dir / artifact).read_bytes()).hexdigest(),
                hashlib.sha256(out.stdout.replace(str(out_dir), "OUT").encode()).hexdigest())
         assert got == want, (argv, got, out.stdout)
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"dsp_total": "100"}, "dsp_total"),
+    ({"dsp_total": True}, "dsp_total"),
+    ({"lut_total": 1.5}, "lut_total"),
+    ({"bram_total": 0}, "bram_total"),
+    ({"clock_ns": float("nan")}, "clock_ns"),
+    ({"clock_ns": "5"}, "clock_ns"),
+    ({"name": 7}, "name"),
+])
+def test_custom_device_bad_field_exits_1(tmp_path, run_cli, change, field):
+    import json
+    device = tmp_path / "dev.json"
+    device.write_text(json.dumps({**TINY_DEVICE, **change}))
+    out = run_cli("report-resources", "--device", f"custom:{device}", "--out", str(tmp_path))
+    assert out.returncode == 1
+    assert out.stderr.startswith(f"error: {device}: device field '{field}' ")
+    assert "Traceback" not in out.stderr
+
+
+def test_custom_device_not_a_map_exits_1(tmp_path, run_cli):
+    device = tmp_path / "dev.json"
+    device.write_text("[100, 1000, 1000, 10, 5.0]\n")
+    out = run_cli("sweep-reuse", "--device", f"custom:{device}", "--out", str(tmp_path))
+    assert out.returncode == 1
+    assert out.stderr.startswith(f"error: {device}: device profile")
+    assert "Traceback" not in out.stderr

@@ -1,4 +1,5 @@
 """Resource/latency estimator: exact identities and monotonicity."""
+import dataclasses
 import math
 
 import pytest
@@ -16,14 +17,16 @@ TOTAL_MULTIPLIERS = 4804
 
 
 def test_count_multipliers_dense_layers():
-    by_name = {l.name: l.multipliers for l in cm.count_multipliers(CFG)}
+    by_name = {l.name: l.multipliers
+               for l in cm.estimate_resources(CFG, FMT, 1, DEV).layers}
     assert by_name["block0.ff1"] == 6 * 8
     assert by_name["head1"] == 90 * 32
     assert by_name["output"] == 8 * 3
 
 
 def test_count_multipliers_attention_stages():
-    by_name = {l.name: l.multipliers for l in cm.count_multipliers(CFG)}
+    by_name = {l.name: l.multipliers
+               for l in cm.estimate_resources(CFG, FMT, 1, DEV).layers}
     assert by_name["block0.mha.qkv_proj"] == 2 * 6 * (2 * 3 + 3)
     assert by_name["block0.mha.scores"] == 2 * 3 * 15
     assert by_name["block0.mha.apply"] == 2 * 15 * 3
@@ -31,12 +34,13 @@ def test_count_multipliers_attention_stages():
 
 
 def test_total_multipliers_frozen_fixture():
-    assert sum(l.multipliers for l in cm.count_multipliers(CFG)) == TOTAL_MULTIPLIERS
+    layers = cm.estimate_resources(CFG, FMT, 1, DEV).layers
+    assert sum(l.multipliers for l in layers) == TOTAL_MULTIPLIERS
 
 
 def test_dsp_at_rf1_equals_multipliers():
     rep = cm.estimate_resources(CFG, FMT, 1, DEV)
-    assert rep.dsp == TOTAL_MULTIPLIERS
+    assert rep.totals["dsp"] == TOTAL_MULTIPLIERS
     for layer in rep.layers:
         assert layer.dsp == layer.multipliers
 
@@ -44,7 +48,7 @@ def test_dsp_at_rf1_equals_multipliers():
 def test_dsp_monotone_nonincreasing_in_rf():
     reports = [cm.estimate_resources(CFG, FMT, rf, DEV) for rf in (1, 2, 4, 8)]
     for a, b in zip(reports, reports[1:]):
-        assert b.dsp <= a.dsp
+        assert b.totals["dsp"] <= a.totals["dsp"]
         for la, lb in zip(a.layers, b.layers):
             assert lb.dsp <= la.dsp
 
@@ -58,7 +62,7 @@ def test_dsp_ceiling_division():
 def test_default_model_fits_vu13p_dsp():
     for rf in (1, 2, 4):
         rep = cm.estimate_resources(CFG, FxFormat(10, 10), rf, DEV)
-        assert rep.dsp <= DEV.dsp_total
+        assert rep.totals["dsp"] <= DEV.dsp_total
         assert "dsp" not in rep.over_subscribed
 
 
@@ -72,9 +76,9 @@ def test_over_subscription_flagged_not_fatal():
 
 def test_totals_are_layer_sums():
     rep = cm.estimate_resources(CFG, FMT, 2, DEV)
-    assert rep.dsp == sum(l.dsp for l in rep.layers)
-    assert rep.lut == sum(l.lut for l in rep.layers)
-    assert rep.bram == sum(l.bram for l in rep.layers)
+    assert rep.totals["dsp"] == sum(l.dsp for l in rep.layers)
+    assert rep.totals["lut"] == sum(l.lut for l in rep.layers)
+    assert rep.totals["bram"] == sum(l.bram for l in rep.layers)
 
 
 def test_csv_rows_shape():
@@ -120,6 +124,15 @@ def test_validation_against_published_within_half():
         rep = cm.estimate_latency(CFG, rf, DEV)
         ref = cm.PUBLISHED_LATENCY_US[rf]
         assert abs(rep.latency_us - ref) / ref <= 0.5
+
+
+def test_latency_refused_off_the_calibrated_geometry():
+    other = dataclasses.replace(CFG, head_dims=(16,))
+    with pytest.raises(ValueError, match="calibrated"):
+        cm.estimate_latency(other, 1, DEV)
+    # resources follow the geometry and stay available
+    rep = cm.estimate_resources(other, FMT, 1, DEV)
+    assert rep.totals["dsp"] < TOTAL_MULTIPLIERS
 
 
 def test_reuse_factor_validation():

@@ -1,4 +1,6 @@
 """Sweep determinism and CSV emission."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,16 @@ def test_reuse_sweep(setup, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "rf,dsp,lut,ff,bram,latency_us,ii_ns"
     assert lines[1].startswith("1,4804,")
+
+
+def test_run_paper_sweeps_script(tmp_path, run_python):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_paper_sweeps.py"
+    out = run_python(str(script), "--n", "200", "--jobs", "1", "--out", str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    headers = {name: (tmp_path / name).read_text().splitlines()[0]
+               for name in ("dataset.csv", "precision_sweep.csv", "reuse_sweep.csv")}
+    assert headers == {
+        "dataset.csv": "jet_id,label,d0,dz,sd0,sdz,dr,ptrel",
+        "precision_sweep.csv": "int_bits,frac_bits,auc_b,auc_c,auc_light,auc_macro,auc_ratio",
+        "reuse_sweep.csv": "rf,dsp,lut,ff,bram,latency_us,ii_ns",
+    }
