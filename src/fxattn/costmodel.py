@@ -174,15 +174,14 @@ class ResourceReport:
         return rows
 
     def summary(self) -> str:
-        totals, use = self.totals, self.utilization
-        over = self.over_subscribed
-        flags = f"  OVER-SUBSCRIBED: {', '.join(over)}" if over else ""
+        totals, use, over = self.totals, self.utilization, self.over_subscribed
         lines = [f"resources for rf={self.reuse_factor}, {self.fmt.spec()} "
                  f"on {self.device.name} (LUT/FF coefficients uncalibrated)"]
         for r in RESOURCES:
             lines.append(f"  {r.upper():<4} {totals[r]:>9} / "
-                         f"{getattr(self.device, f'{r}_total'):<9} ({use[r]:.1%})"
-                         + (flags if r == "dsp" else ""))
+                         f"{getattr(self.device, f'{r}_total'):<9} ({use[r]:.1%})")
+        if over:
+            lines[1] += f"  OVER-SUBSCRIBED: {', '.join(over)}"
         return "\n".join(lines)
 
 
@@ -194,9 +193,10 @@ def estimate_resources(cfg: ModelConfig, fmt: FxFormat, rf: int,
     layers = []
     for name, mults, storage in _layers(cfg, bits):
         dsp = math.ceil(mults / rf)
-        layers.append(LayerResource(name, mults, dsp, round(dsp * LUT_PER_MULT_BIT * bits),
-                                    round(dsp * FF_PER_MULT_BIT * bits),
-                                    math.ceil(storage / BRAM_BLOCK_BITS)))
+        layers.append(LayerResource(name, mults, dsp,
+                                    lut=round(dsp * LUT_PER_MULT_BIT * bits),
+                                    ff=round(dsp * FF_PER_MULT_BIT * bits),
+                                    bram=math.ceil(storage / BRAM_BLOCK_BITS)))
     return ResourceReport(tuple(layers), dev, rf, fmt)
 
 

@@ -24,7 +24,7 @@ from fxattn.model import ModelConfig, ModelWeights, forward_batch
 
 PRECISION_CSV_HEADER = ["int_bits", "frac_bits", "auc_b", "auc_c", "auc_light",
                         "auc_macro", "auc_ratio"]
-REUSE_CSV_HEADER = ["rf", "dsp", "lut", "ff", "bram", "latency_us", "ii_ns"]
+REUSE_CSV_HEADER = ["rf", *cm.RESOURCES, "latency_us", "ii_ns"]
 
 
 @dataclass(frozen=True)

@@ -243,10 +243,12 @@ def test_custom_device_bad_field_exits_1(tmp_path, run_cli, change, field):
     assert "Traceback" not in out.stderr
 
 
-def test_custom_device_not_a_map_exits_1(tmp_path, run_cli):
+@pytest.mark.parametrize("text", ["[100, 1000, 1000, 10, 5.0]\n", '{"name": '])
+def test_custom_device_not_a_json_map_exits_1(tmp_path, run_cli, text):
     device = tmp_path / "dev.json"
-    device.write_text("[100, 1000, 1000, 10, 5.0]\n")
+    device.write_text(text)
     out = run_cli("sweep-reuse", "--device", f"custom:{device}", "--out", str(tmp_path))
     assert out.returncode == 1
-    assert out.stderr.startswith(f"error: {device}: device profile")
+    assert out.stderr.startswith(f"error: {device}: ")
+    assert "device profile" in out.stderr
     assert "Traceback" not in out.stderr
