@@ -1,10 +1,10 @@
 """Four-stage streaming multi-head attention with FIFO inter-stage channels.
 
-Stage 1 projects each incoming row into per-head Q/K/V rows and pushes
-them onto FIFO channels. Stage 2 preloads the full K block into a register
-file, scores one Q row at a time against it (the 1/sqrt(d_k) divisor is a
-precomputed fixed-point multiplicative constant, never a runtime divide)
-and applies the table softmax row-wise. Stage 3 buffers V into a
+Stage 1 projects each incoming row into every head's Q/K/V rows with one
+product and pushes the per-head slices onto FIFO channels. Stage 2 preloads
+the full K block into a register file, scores one Q row at a time against
+it (the 1/sqrt(d_k) divisor is a precomputed fixed-point multiplicative
+constant, never a runtime divide) and applies the table softmax row-wise. Stage 3 buffers V into a
 dual-access register and forms the score-weighted row combinations.
 Stage 4 concatenates the per-head rows in head order and applies the
 output projection, one row in and one row out per step.
@@ -188,22 +188,27 @@ def _check_inputs(cfg: MhaConfig, weights: MhaWeights, shape: tuple,
 # pipeline stages
 # ---------------------------------------------------------------------------
 
+def _qkv_rows(cfg: MhaConfig, weights: MhaWeights, rows):
+    """Per input row, its slices q[0], k[0], v[0], q[1], ... from one product with
+    every head's transposed projections side by side (the cost model's qkv_proj)."""
+    pairs = [(w[h], b[h]) for h in range(cfg.num_heads) for w, b in weights.qkv()]
+    w_t = L.concat([w.swapaxes(-1, -2) for w, _ in pairs])
+    bias = L.concat([b for _, b in pairs])
+    edges = np.cumsum([0] + [b.shape[-1] for _, b in pairs])
+    for x in rows:
+        y = L.add(L.matmul(x, w_t), bias)
+        yield [y[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+
+
 def stage1_project(cfg: MhaConfig, weights: MhaWeights, in_ch: StreamChannel):
     """Project seq_len input rows into per-head Q/K/V streams, in input order."""
     if in_ch.pending != cfg.seq_len:
         raise ValueError(f"expected {cfg.seq_len} input rows, found {in_ch.pending}")
-    q_chs = [StreamChannel(cfg.seq_len, f"q[{h}]") for h in range(cfg.num_heads)]
-    k_chs = [StreamChannel(cfg.seq_len, f"k[{h}]") for h in range(cfg.num_heads)]
-    v_chs = [StreamChannel(cfg.seq_len, f"v[{h}]") for h in range(cfg.num_heads)]
-    # (W^T, b, channel) per head and projection, sliced once for all rows
-    projections = [(w[h].swapaxes(-1, -2), b[h], chs[h])
-                   for h in range(cfg.num_heads)
-                   for (w, b), chs in zip(weights.qkv(), (q_chs, k_chs, v_chs))]
-    for _ in range(cfg.seq_len):
-        x = in_ch.read()
-        for w_t, b, ch in projections:
-            ch.write(L.add(L.matmul(x, w_t), b))
-    return q_chs, k_chs, v_chs
+    chs = [StreamChannel(cfg.seq_len, f"{n}[{h}]") for h in range(cfg.num_heads) for n in "qkv"]
+    for parts in _qkv_rows(cfg, weights, (in_ch.read() for _ in range(cfg.seq_len))):
+        for ch, part in zip(chs, parts):
+            ch.write(part)
+    return chs[0::3], chs[1::3], chs[2::3]
 
 
 def stage2_scores(cfg: MhaConfig, softmax_cfg: SoftmaxConfig | None,
@@ -293,12 +298,12 @@ def run_mha_reference(cfg: MhaConfig, weights: MhaWeights,
     pipeline, so results are bit-exact equal in every number mode.
     """
     _check_inputs(cfg, weights, x.shape, mask)
-    rows = [x[t] for t in range(cfg.seq_len)]
+    projected = list(_qkv_rows(cfg, weights, (x[t] for t in range(cfg.seq_len))))
     scale = score_scale(cfg, L.fmt_of(x))
     head_blocks = []
     for h in range(cfg.num_heads):
-        q, k, v = (L.stack([L.add(L.matmul(r, w[h].swapaxes(-1, -2)), b[h]) for r in rows])
-                   for w, b in weights.qkv())
+        # stacked from the row slices, so contiguous like the streaming stages' blocks
+        q, k, v = (L.stack([parts[3 * h + i] for parts in projected]) for i in range(3))
         probs = [L.softmax(L.mul(L.matmul(k, q[t]), scale), softmax_cfg, mask)
                  for t in range(cfg.seq_len)]
         head_blocks.append(L.stack([L.matmul(p, v) for p in probs]))
@@ -329,6 +334,8 @@ def mha_forward_batch(cfg: MhaConfig, weights: MhaWeights,
     # every pass: 2.4x the page faults, about 10% fewer jets/s on 10k jets.
     heads = []
     for h in range(cfg.num_heads):
+        # a product per projection, unlike stage 1's joined one: a float
+        # product of another shape can round differently, and these bits are pinned
         q = L.add(L.matmul(x, weights.w_q[h].swapaxes(-1, -2)), weights.b_q[h])
         k = L.add(L.matmul(x, weights.w_k[h].swapaxes(-1, -2)), weights.b_k[h])
         v = L.add(L.matmul(x, weights.w_v[h].swapaxes(-1, -2)), weights.b_v[h])

@@ -33,13 +33,14 @@ its format's range, so ``|raw| <= 2**(total_bits - 1)``. From it the
 format width and the reduction length bound each intermediate without
 looking at the data. Only products in formats too wide for that bound
 (up to 60 bits) scan their operands, once, to pick float64 or int64.
+A format's width and bounds are computed once, and every kernel reuses them.
 """
 from __future__ import annotations
 
 import enum
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,28 +68,28 @@ class FxFormat:
     frac_bits: int
     overflow: Overflow = Overflow.SATURATE
     rounding: Rounding = Rounding.ROUND_EVEN
+    # Set by __post_init__, outside equality and hashing. ``bounds`` is
+    # (raw_min, raw_max) as np.int64 up to 60 bits, where raws are int64, so
+    # np.clip takes it without an np.iinfo lookup; as Python ints above.
+    total_bits: int = field(init=False, repr=False, compare=False)
+    raw_min: int = field(init=False, repr=False, compare=False)
+    raw_max: int = field(init=False, repr=False, compare=False)
+    bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.int_bits < 1:
             raise ValueError(f"int_bits must be >= 1, got {self.int_bits}")
         if self.frac_bits < 0:
             raise ValueError(f"frac_bits must be >= 0, got {self.frac_bits}")
-        if self.int_bits + self.frac_bits > 64:
-            raise ValueError(
-                f"total width {self.int_bits + self.frac_bits} exceeds the 64-bit cap"
-            )
-
-    @property
-    def total_bits(self) -> int:
-        return self.int_bits + self.frac_bits
-
-    @property
-    def raw_min(self) -> int:
-        return -(1 << (self.total_bits - 1))
-
-    @property
-    def raw_max(self) -> int:
-        return (1 << (self.total_bits - 1)) - 1
+        total = self.int_bits + self.frac_bits
+        if total > 64:
+            raise ValueError(f"total width {total} exceeds the 64-bit cap")
+        half = 1 << (total - 1)
+        object.__setattr__(self, "total_bits", total)
+        object.__setattr__(self, "raw_min", -half)
+        object.__setattr__(self, "raw_max", half - 1)
+        as_raw = np.int64 if total <= 60 else int
+        object.__setattr__(self, "bounds", (as_raw(-half), as_raw(half - 1)))
 
     @property
     def step(self) -> float:
@@ -207,7 +208,7 @@ def _handle_overflow_array(v: np.ndarray, fmt: FxFormat) -> np.ndarray:
     # a Python int above 60 bits
     v = np.asarray(v, dtype=object if fmt.total_bits > 60 else None)
     if fmt.overflow is Overflow.SATURATE:
-        np.clip(v, fmt.raw_min, fmt.raw_max, out=v)
+        np.clip(v, *fmt.bounds, out=v)
     else:
         half = 1 << (fmt.total_bits - 1)
         v += half
@@ -258,7 +259,7 @@ def quantize_array(x: np.ndarray, fmt: FxFormat) -> FxArray:
 
 
 def _check_fmt(a: FxArray, b: FxArray) -> FxFormat:
-    if a.fmt != b.fmt:
+    if a.fmt is not b.fmt and a.fmt != b.fmt:
         raise ValueError(f"format mismatch: {a.fmt.spec()} vs {b.fmt.spec()}")
     return a.fmt
 

@@ -40,8 +40,9 @@ class LutTable:
         return int(self.entries_raw.shape[0])
 
     @cached_property
-    def _index_map(self) -> tuple[int, int, int, bool]:
-        """``(p, r, q, fits_int64)``: the bin of raw ``x`` is ``(x*p - r) // q``.
+    def _index_map(self) -> tuple[int, int, int, bool, tuple]:
+        """``(p, r, q, fits_int64, bins)``: the bin of raw ``x`` is ``(x*p - r) // q``,
+        clamped to ``bins``, the first and last bin as np.int64.
 
         The bin is floor((x * 2**-frac - lo) * size / (hi - lo)). Every float
         is a dyadic rational, so p/q (bins per raw step) and r/q (``lo`` in
@@ -55,18 +56,18 @@ class LutTable:
         r = offset.numerator * (q // offset.denominator)
         # in-range raws have |x| <= 2**(total_bits - 1)
         fits = (p << (self.fmt.total_bits - 1)) + abs(r) < 1 << 63
-        return p, r, q, fits
+        return p, r, q, fits, (np.int64(0), np.int64(self.size - 1))
 
     def index_of(self, raw: np.ndarray | int) -> np.ndarray:
         """clamp(floor((raw * 2**-frac - lo) * size / (hi - lo)), 0, size - 1), exactly."""
-        p, r, q, fits = self._index_map
+        p, r, q, fits, bins = self._index_map
         raw = np.asarray(raw)
         if raw.dtype == object or not fits:
             raw = raw.astype(object)
         i = np.asarray(raw * p, dtype=raw.dtype)
         i -= r
         np.floor_divide(i, q, out=i)
-        np.clip(i, 0, self.size - 1, out=i)
+        np.clip(i, *bins, out=i)
         return i.astype(np.int64, copy=False)
 
     def lookup_raw(self, raw: np.ndarray | int) -> np.ndarray:
@@ -132,12 +133,12 @@ def softmax_lut(cfg: SoftmaxConfig, v: FxArray,
     if v.shape[-1] == 0:
         raise ValueError("softmax of an empty vector")
     fmt = cfg.io_format
-    if v.fmt != fmt:
+    if v.fmt is not fmt and v.fmt != fmt:
         raise ValueError(f"input format {v.fmt.spec()} != table format {fmt.spec()}")
     raw = v.raw
     kept = raw if keep is None else np.where(keep, raw, fmt.raw_min)
     shifted = raw - kept.max(axis=-1, keepdims=True)
-    np.clip(shifted, fmt.raw_min, fmt.raw_max, out=shifted)
+    np.clip(shifted, *fmt.bounds, out=shifted)
     e_raw = cfg.exp_table.lookup_raw(shifted)
     del shifted  # as large as the scores; free it before the products
     if keep is not None:
@@ -145,7 +146,7 @@ def softmax_lut(cfg: SoftmaxConfig, v: FxArray,
     e = FxArray(e_raw, fmt)
     s = fxp.fx_sum(e, axis=-1)
     inv_raw = cfg.inv_table.lookup_raw(s.raw)
-    inv = FxArray(np.expand_dims(np.asarray(inv_raw), -1), fmt)
+    inv = FxArray(np.asarray(inv_raw)[..., None], fmt)
     return fxp.fx_mul_array(e, inv)
 
 

@@ -43,3 +43,10 @@ def oracle_add(a, b, fmt: FxFormat) -> int:
 
 def oracle_mul(a, b, fmt: FxFormat) -> int:
     return oracle_quantize(fraction_of(a, fmt) * fraction_of(b, fmt), fmt)
+
+
+def oracle_matmul(a, b, fmt: FxFormat) -> list:
+    """Raws of rows of a (r, k) times columns of b (k, c) in Fractions, rounded once."""
+    scale = Fraction(1, 1 << (2 * fmt.frac_bits))
+    return [[oracle_quantize(sum(int(x) * int(y) for x, y in zip(row, col)) * scale, fmt)
+             for col in b.T] for row in a]

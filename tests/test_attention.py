@@ -8,8 +8,10 @@ from fxattn import attention as att
 from fxattn import fxp
 from fxattn import softmax as sm
 from fxattn.attention import ChannelError, MhaConfig, StreamChannel
-from fxattn.fxp import FxFormat, FxArray
+from fxattn.fxp import FxFormat, FxArray, Overflow
+from fxattn.model import ModelConfig
 from draws import draw_mha_weights
+from fxoracle import oracle_add, oracle_matmul
 
 
 def make_softmax(fmt, seq_len):
@@ -135,6 +137,26 @@ def test_stage1_matches_dense_oracle():
         assert np.allclose(got, x @ w.w_q[h].T + w.b_q[h], atol=1e-12)
         got_v = np.stack([v[h].read() for _ in range(4)])
         assert np.allclose(got_v, x @ w.w_v[h].T + w.b_v[h], atol=1e-12)
+
+
+def test_stage1_one_product_per_row(monkeypatch):
+    # the cost model's qkv_proj: every head's Q, K and V row from one product
+    cfg = ModelConfig().encoder.mha
+    fmt = FxFormat(10, 10)
+    rng = np.random.default_rng(14)
+    w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
+    x = fxp.quantize_array(rng.normal(size=(cfg.seq_len, cfg.d_model)), fmt)
+    calls = []
+    matmul = fxp.fx_matmul
+    monkeypatch.setattr(fxp, "fx_matmul", lambda a, b: calls.append(1) or matmul(a, b))
+    chs = att.stage1_project(cfg, w, fill_channel(rows_of(x)))
+    assert len(calls) == cfg.seq_len
+    for (wt, bt), proj_chs in zip(w.qkv(), chs):
+        for h, ch in enumerate(proj_chs):
+            products = oracle_matmul(x.raw, wt.raw[h].T, fmt)
+            for t in range(cfg.seq_len):
+                want = [oracle_add(p, b, fmt) for p, b in zip(products[t], bt.raw[h])]
+                assert ch.read().raw.tolist() == want
 
 
 def test_stage2_zero_qk_uniform_scores():
@@ -289,6 +311,24 @@ def test_streaming_equals_reference_fixed(int_bits, frac_bits):
     a = att.run_mha_streaming(cfg, w, scfg, x)
     b = att.run_mha_reference(cfg, w, scfg, x)
     assert np.array_equal(a.raw, b.raw)
+
+
+@pytest.mark.parametrize("fmt", [fxp.parse_format("fixed<64,32>"),
+                                 FxFormat(6, 6, overflow=Overflow.WRAP)],
+                         ids=["object", "wrap"])
+def test_streaming_equals_reference_and_batch_off_the_int64_saturate_path(fmt):
+    cfg = MhaConfig(d_model=6, num_heads=2, seq_len=7, d_k=3)
+    rng = np.random.default_rng(19)
+    # wide enough draws that the 12-bit format wraps
+    w = att.quantize_mha_weights(draw_mha_weights(cfg, rng, scale=4.0), fmt)
+    xs = fxp.quantize_array(rng.normal(0.0, 8.0, size=(2, 7, 6)), fmt)
+    scfg = make_softmax(fmt, 7)
+    batch = att.mha_forward_batch(cfg, w, scfg, xs)
+    for i in range(2):
+        a = att.run_mha_streaming(cfg, w, scfg, xs[i])
+        b = att.run_mha_reference(cfg, w, scfg, xs[i])
+        assert a.raw.dtype == b.raw.dtype == batch.raw.dtype
+        assert a.raw.tolist() == b.raw.tolist() == batch.raw[i].tolist()
 
 
 def test_batch_equals_reference_fixed():

@@ -1,5 +1,6 @@
 """Fixed-point kernel tests against exact-rational oracles."""
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from fxattn import fxp
 from fxattn.fxp import FxArray, FxFormat, Overflow, Rounding
-from fxoracle import oracle_add, oracle_mul, oracle_quantize
+from fxoracle import oracle_add, oracle_matmul, oracle_mul, oracle_quantize
 
 
 def fmt_strategy(max_total=16):
@@ -40,6 +41,37 @@ def test_format_range():
     assert fmt.raw_min * fmt.step == -8.0
     assert fmt.raw_max * fmt.step == 8.0 - 2.0 ** -4
     assert fmt.step == 0.0625
+
+
+@pytest.mark.parametrize("spec,total,kind", [
+    ("fixed<20,10>", 20, np.int64), ("fixed<60,30>", 60, np.int64),
+    ("fixed<61,30>", 61, int), ("fixed<64,32>", 64, int),
+])
+def test_format_constants_fixed_once(spec, total, kind):
+    # int64 bounds wherever raws are int64, Python ints on the object path
+    fmt = fxp.parse_format(spec)
+    assert fmt.total_bits == total
+    assert fmt.bounds == (fmt.raw_min, fmt.raw_max) == (-2 ** (total - 1), 2 ** (total - 1) - 1)
+    assert [type(b) for b in fmt.bounds] == [kind, kind]
+
+
+@pytest.mark.parametrize("spec", ["fixed<20,10>", "fixed<64,32>"])
+@pytest.mark.parametrize("overflow", list(Overflow))
+def test_format_used_by_kernels_equals_a_fresh_one(spec, overflow):
+    # sweep workers receive formats by pickle; what the kernels reuse must
+    # not make a format compare, hash or pickle differently
+    used = fxp.parse_format(spec, overflow=overflow)
+    a = fxp.quantize_array(np.linspace(-600.0, 600.0, 12).reshape(3, 4), used)
+    fxp.fx_matmul(a, a.swapaxes(0, 1))
+    fxp.fx_mul_array(a, fxp.fx_add_array(a, a))
+    fxp.fx_sum(a)
+    fresh = fxp.parse_format(spec, overflow=overflow)
+    assert used is not fresh
+    assert used == fresh and hash(used) == hash(fresh)
+    assert pickle.dumps(used) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(used))
+    assert back == fresh and hash(back) == hash(fresh) and back.bounds == fresh.bounds
+    assert [type(b) for b in back.bounds] == [type(b) for b in fresh.bounds]
 
 
 @pytest.mark.parametrize("text,int_bits,frac_bits", [
@@ -318,13 +350,6 @@ def test_relu():
 # ---------------------------------------------------------------------------
 
 MODES = [(o, r) for o in Overflow for r in Rounding]
-
-
-def oracle_matmul(a: np.ndarray, b: np.ndarray, fmt: FxFormat) -> list:
-    """Rows of a (r, k) times columns of b (k, c) in Fractions, rounded once."""
-    scale = Fraction(1, 1 << (2 * fmt.frac_bits))
-    return [[oracle_quantize(sum(int(x) * int(y) for x, y in zip(row, col)) * scale, fmt)
-             for col in b.T] for row in a]
 
 
 def edge_operands(fmt: FxFormat, k: int, seed: int):
