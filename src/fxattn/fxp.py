@@ -34,9 +34,13 @@ format width and the reduction length bound each intermediate without
 looking at the data. Only products in formats too wide for that bound
 (up to 60 bits) scan their operands, once, to pick float64 or int64.
 A format's width and bounds are computed once, and every kernel reuses them.
+
+:func:`overflow_watch` counts overflow events while it is open; the
+precision sweep uses it to prove sweep points identical without running them.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import re
@@ -202,13 +206,59 @@ def _shift_round_array(p: np.ndarray, shift: int, rounding: Rounding) -> np.ndar
     return (p + ((1 << (shift - 1)) - 1) + ((p >> shift) & 1)) >> shift
 
 
+@dataclass
+class OverflowWatch:
+    """Overflow events counted while :func:`overflow_watch` is open.
+
+    One event is one call that changed a value by overflow handling, one
+    :func:`quantize_array` call with an input outside
+    ``[-2**(int_bits - 1), 2**(int_bits - 1))`` (infinities included), or
+    one :func:`saturate` call that clamped a value. A pass that counts none
+    computes the same raws in every format with more integer bits and the
+    same fraction bits, provided it computes all of them itself: a
+    quantization or table cached from an earlier pass would carry no count.
+    """
+
+    events: int = 0
+
+
+_watch: OverflowWatch | None = None
+
+
+@contextlib.contextmanager
+def overflow_watch():
+    """Count overflow events in this process while the block runs; yields the
+    :class:`OverflowWatch`. When no watch is open, each event site costs one
+    ``None`` check."""
+    global _watch
+    outer, _watch = _watch, OverflowWatch()
+    try:
+        yield _watch
+    finally:
+        _watch = outer
+
+
+def _outside(v: np.ndarray, fmt: FxFormat) -> bool:
+    return v.size > 0 and (v.min() < fmt.raw_min or v.max() > fmt.raw_max)
+
+
+def saturate(v: np.ndarray, fmt: FxFormat) -> None:
+    """Clamp the raws ``v`` into ``fmt``'s range in place, in every overflow
+    mode; a clamp that changes a value is an overflow event."""
+    if _watch is not None and _outside(v, fmt):
+        _watch.events += 1
+    v.clip(*fmt.bounds, out=v)
+
+
 def _handle_overflow_array(v: np.ndarray, fmt: FxFormat) -> np.ndarray:
     """Saturate or wrap ``v`` into ``fmt``'s range, in place: ``v`` is consumed."""
     # a ufunc hands back a 0-d result as a scalar, and a bare int must stay
     # a Python int above 60 bits
     v = np.asarray(v, dtype=object if fmt.total_bits > 60 else None)
+    if _watch is not None and _outside(v, fmt):
+        _watch.events += 1
     if fmt.overflow is Overflow.SATURATE:
-        np.clip(v, *fmt.bounds, out=v)
+        v.clip(*fmt.bounds, out=v)
     else:
         half = 1 << (fmt.total_bits - 1)
         v += half
@@ -245,6 +295,9 @@ def quantize_array(x: np.ndarray, fmt: FxFormat) -> FxArray:
     if np.isnan(x).any():
         raise ValueError("cannot quantize NaN")
     top = math.ldexp(1.0, fmt.int_bits - 1)
+    # a clip below -top reaches raw_min with no raw overflow, so it counts here
+    if _watch is not None and x.size and (x.min() < -top or x.max() >= top):
+        _watch.events += 1
     if fmt.overflow is Overflow.SATURATE:
         bounded = np.clip(x, -top, top)
     else:

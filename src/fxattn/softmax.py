@@ -67,7 +67,7 @@ class LutTable:
         i = np.asarray(raw * p, dtype=raw.dtype)
         i -= r
         np.floor_divide(i, q, out=i)
-        np.clip(i, *bins, out=i)
+        i.clip(*bins, out=i)
         return i.astype(np.int64, copy=False)
 
     def lookup_raw(self, raw: np.ndarray | int) -> np.ndarray:
@@ -138,7 +138,7 @@ def softmax_lut(cfg: SoftmaxConfig, v: FxArray,
     raw = v.raw
     kept = raw if keep is None else np.where(keep, raw, fmt.raw_min)
     shifted = raw - kept.max(axis=-1, keepdims=True)
-    np.clip(shifted, *fmt.bounds, out=shifted)
+    fxp.saturate(shifted, fmt)
     e_raw = cfg.exp_table.lookup_raw(shifted)
     del shifted  # as large as the scores; free it before the products
     if keep is not None:

@@ -5,19 +5,27 @@ through the fixed-point model; the metric is the macro-averaged
 one-vs-rest AUC divided by the float model's macro AUC. Per-class AUCs are
 emitted alongside. Reuse sweep: resource and latency estimates per rf.
 
-Sweep points are independent; with jobs > 1 they run in a process pool and
-are merged back in axis order, so output bytes never depend on scheduling.
+The precision grid runs one frac column at a time, int widths ascending,
+each pass under :func:`fxp.overflow_watch`. A pass at ``fixed<I+F,I>`` that
+counts no overflow event proves every wider int width in its column: table
+bins, table entries and rounding depend on F alone, every kernel is exact,
+and every intermediate already fits I bits, so a wider format computes the
+same raws bit for bit. Those points reuse the proven pass's AUCs instead of
+running. With jobs > 1 the columns run in a process pool that receives the
+inputs once per worker; rows merge back in the caller's grid order, so
+output bytes never depend on scheduling.
 """
 from __future__ import annotations
 
 import csv
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from fxattn import costmodel as cm
-from fxattn import metrics
+from fxattn import fxp, metrics
 from fxattn.data import LABELS, Dataset
 from fxattn.fxp import FxFormat
 from fxattn.model import ModelConfig, ModelWeights, forward_batch
@@ -25,6 +33,8 @@ from fxattn.model import ModelConfig, ModelWeights, forward_batch
 PRECISION_CSV_HEADER = ["int_bits", "frac_bits", "auc_b", "auc_c", "auc_light",
                         "auc_macro", "auc_ratio"]
 REUSE_CSV_HEADER = ["rf", *cm.RESOURCES, "latency_us", "ii_ns"]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -50,17 +60,49 @@ def _macro_aucs(probs: np.ndarray, labels: np.ndarray) -> tuple[dict, float]:
     return per_class, float(np.mean(list(per_class.values())))
 
 
-def _precision_point(args) -> tuple:
-    cfg, weights, x, labels, macro_float, int_bits, frac_bits = args
-    fmt = FxFormat(int_bits, frac_bits)
-    probs = forward_batch(cfg, weights, x, fmt=fmt)
-    per_class, macro = _macro_aucs(probs, labels)
-    return (int_bits, frac_bits, per_class["b"], per_class["c"], per_class["light"],
-            macro, macro / macro_float)
+# (cfg, weights, x, labels, float macro AUC) of the running precision sweep,
+# held once per process by _hold_inputs, so one sweep runs at a time per process
+_inputs: tuple | None = None
+
+
+def _hold_inputs(inputs: tuple | None) -> None:
+    global _inputs
+    _inputs = inputs
+
+
+def _precision_point(fmt: FxFormat, proof: tuple | None) -> tuple[tuple, tuple | None]:
+    """(CSV row, proof) at one grid point.
+
+    ``proof`` holds the AUCs of a narrower pass in ``fmt``'s frac column that
+    counted no overflow event, and the row reuses them; without one, the
+    point runs under the watch and becomes the proof if it counts none.
+    """
+    if proof is None:
+        cfg, weights, x, labels, macro_float = _inputs
+        with fxp.overflow_watch() as watch:
+            probs = forward_batch(cfg, weights, x, fmt=fmt)
+        per_class, macro = _macro_aucs(probs, labels)
+        aucs = (per_class["b"], per_class["c"], per_class["light"], macro, macro / macro_float)
+        proof = None if watch.events else aucs
+    else:
+        aucs = proof
+    return (fmt.int_bits, fmt.frac_bits, *aucs), proof
+
+
+def _column(fmts: tuple[FxFormat, ...]) -> tuple[list[tuple], int]:
+    """Rows of one frac column, int widths ascending, and how many passes ran."""
+    rows, proof, ran = [], None, 0
+    for fmt in fmts:
+        ran += proof is None
+        row, proof = _precision_point(fmt, proof)
+        rows.append(row)
+    return rows, ran
 
 
 def sweep_precision(cfg: ModelConfig, weights: ModelWeights, dataset: Dataset,
                     int_bits_list, frac_bits_list, jobs: int = 1) -> SweepResult:
+    # every point is a format, valid or not, before any pass runs
+    fmts = {(ib, fb): FxFormat(ib, fb) for ib in int_bits_list for fb in frac_bits_list}
     counts = dataset.class_counts()
     if min(counts.values()) == 0:
         raise ValueError(f"dataset is missing classes: {counts}")
@@ -68,13 +110,24 @@ def sweep_precision(cfg: ModelConfig, weights: ModelWeights, dataset: Dataset,
     labels = dataset.labels()
     _, macro_float = _macro_aucs(forward_batch(cfg, weights, x), labels)
 
-    grid = [(cfg, weights, x, labels, macro_float, ib, fb)
-            for ib in int_bits_list for fb in frac_bits_list]
+    inputs = (cfg, weights, x, labels, macro_float)
+    columns = [tuple(fmts[ib, fb] for ib in sorted(set(int_bits_list)))
+               for fb in dict.fromkeys(frac_bits_list)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_precision_point, grid))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_hold_inputs,
+                                 initargs=(inputs,)) as pool:
+            done = list(pool.map(_column, columns))
     else:
-        rows = [_precision_point(g) for g in grid]
+        _hold_inputs(inputs)
+        try:
+            done = [_column(c) for c in columns]
+        finally:
+            _hold_inputs(None)
+    ran = sum(n for _, n in done)
+    log.info("precision sweep: %d of %d points ran, %d reused a narrower pass "
+             "that counted no overflow", ran, len(fmts), len(fmts) - ran)
+    by_point = {row[:2]: row for rows, _ in done for row in rows}
+    rows = [by_point[ib, fb] for ib in int_bits_list for fb in frac_bits_list]
     return SweepResult(columns=tuple(PRECISION_CSV_HEADER), rows=tuple(rows))
 
 

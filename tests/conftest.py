@@ -11,7 +11,8 @@ import fxattn
 
 @pytest.fixture
 def run_python():
-    """Run ``python *args`` in ``cwd``; returns the CompletedProcess.
+    """Run ``python *args`` in ``cwd``, with ``env_vars`` added to the
+    environment; returns the CompletedProcess.
 
     The child imports the same fxattn as this process, from any working
     directory: the directory holding the imported package goes first on
@@ -22,13 +23,14 @@ def run_python():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
 
-    def run(*args, cwd=None):
-        return subprocess.run([sys.executable, *args],
-                              capture_output=True, text=True, cwd=cwd, env=env)
+    def run(*args, cwd=None, **env_vars):
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              cwd=cwd, env={**env, **env_vars})
     return run
 
 
 @pytest.fixture
 def run_cli(run_python):
     """Run ``python -m fxattn *args`` in ``cwd``, as ``run_python`` does."""
-    return lambda *args, cwd=None: run_python("-m", "fxattn", *args, cwd=cwd)
+    return lambda *args, cwd=None, **env_vars: run_python("-m", "fxattn", *args, cwd=cwd,
+                                                          **env_vars)

@@ -114,6 +114,42 @@ def test_sweep_precision_cli(tmp_path, run_cli):
     assert len(lines) == 3
 
 
+# sha256 of (precision_sweep.csv, stdout) for the sweep below over gen-data
+# --n 200 --seed 11 and the analytic weights, recorded while every grid
+# point still ran its own pass
+PINNED_SWEEP_SHA256 = (
+    "9a4b01305afcadae367f11ba06780bd9a9ffedbb76fdb7c0c5492d3d7c4271fd",
+    "c2ba6c6b3efa94a894e1b1723e363b431ae28d89e8611d618720a52b8fd1d0e8")
+
+
+def test_sweep_precision_output_pinned_and_skips_logged(tmp_path, run_cli):
+    import hashlib
+    run_cli("gen-data", "--n", "200", "--seed", "11", "--out", str(tmp_path))
+    run_cli("make-weights", "--out", str(tmp_path))
+    # int 1 overflows, int 6 proves each column, and 7, 8 and 10 reuse it
+    out = run_cli("sweep-precision", "--weights", str(tmp_path / "weights.json"),
+                  "--data", str(tmp_path / "dataset.csv"), "--int-bits", "10,1,6-8,6",
+                  "--frac-bits", "4,0,10", "--jobs", "2", "--out", "OUT",
+                  cwd=tmp_path, FXATTN_LOG="info")
+    assert out.returncode == 0, out.stderr
+    got = (hashlib.sha256((tmp_path / "OUT" / "precision_sweep.csv").read_bytes()).hexdigest(),
+           hashlib.sha256(out.stdout.encode()).hexdigest())
+    assert got == PINNED_SWEEP_SHA256, out.stdout
+    assert "precision sweep: 6 of 15 points ran, 9 reused" in out.stderr
+
+
+def test_sweep_precision_validates_every_point_first(tmp_path, run_cli):
+    run_cli("gen-data", "--n", "60", "--seed", "9", "--out", str(tmp_path))
+    run_cli("make-weights", "--out", str(tmp_path))
+    # int 6 would prove the column and skip int 70, which must still be refused
+    out = run_cli("sweep-precision", "--weights", str(tmp_path / "weights.json"),
+                  "--data", str(tmp_path / "dataset.csv"), "--int-bits", "6,70",
+                  "--frac-bits", "0", "--out", str(tmp_path))
+    assert out.returncode == 1
+    assert out.stderr == "error: total width 70 exceeds the 64-bit cap\n"
+    assert not (tmp_path / "precision_sweep.csv").exists()
+
+
 def test_int_list_parsing():
     from fxattn.cli import parse_int_list
     assert parse_int_list("1,2,4") == [1, 2, 4]

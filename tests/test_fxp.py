@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fxattn import fxp
+from fxattn import data, fxp, model
 from fxattn.fxp import FxArray, FxFormat, Overflow, Rounding
+from fxattn.softmax import make_softmax_config, softmax_lut
 from fxoracle import oracle_add, oracle_matmul, oracle_mul, oracle_quantize
 
 
@@ -484,3 +485,70 @@ def test_every_kernel_output_in_range(spec, overflow, rounding):
         raws = [int(r) for r in np.ravel(out.raw)]
         assert all(fmt.raw_min <= r <= fmt.raw_max for r in raws)
         assert out.raw.dtype == (object if fmt.total_bits > 60 else np.int64)
+
+
+# ---------------------------------------------------------------------------
+# overflow watch
+# ---------------------------------------------------------------------------
+
+Q44 = FxFormat(4, 4)  # values in [-8, 8), raws in [-128, 127]
+W44 = FxFormat(4, 4, Overflow.WRAP)
+Q1010 = FxFormat(10, 10)
+
+
+def _raws(fmt, *raws):
+    return FxArray(np.array(raws, dtype=np.int64), fmt)
+
+
+def _shift_saturates():
+    # the shift -300 - 300 lies below -2**9; nothing else in the softmax overflows
+    cfg = make_softmax_config(Q1010, n_max=4)
+    softmax_lut(cfg, fxp.quantize_array([300.0, -300.0, 0.0], Q1010))
+
+
+WATCHED = {
+    # name: (what runs under the watch, events it counts)
+    "kernel saturates": (lambda: fxp.fx_add_array(_raws(Q44, 100), _raws(Q44, 100)), 1),
+    "kernel wraps": (lambda: fxp.fx_add_array(_raws(W44, 100), _raws(W44, 100)), 1),
+    # the float clip takes -8.5 to raw_min exactly: no raw overflows, only the input check counts
+    "x below -2**(I-1)": (lambda: fxp.quantize_array([-8.5, 0.0], Q44), 1),
+    # the input check, then the raw 2**7 saturates
+    "x at 2**(I-1)": (lambda: fxp.quantize_array([8.0], Q44), 2),
+    "+inf": (lambda: fxp.quantize_array([np.inf], Q44), 2),
+    "-inf": (lambda: fxp.quantize_array([-np.inf], Q44), 1),
+    "+inf, wrap": (lambda: fxp.quantize_array([np.inf], W44), 1),
+    # 1/1 = 1.0 does not fit one integer bit
+    "reciprocal table at int_bits=1": (lambda: make_softmax_config(FxFormat(1, 8), n_max=4), 2),
+    "softmax shift saturates": (_shift_saturates, 1),
+    "clean": (lambda: [fxp.quantize_array([-8.0, 7.9375], Q44),
+                       fxp.quantize_array(np.empty((0, 3)), Q44),
+                       fxp.fx_add_array(_raws(Q44, -100), _raws(Q44, 28))], 0),
+}
+
+
+@pytest.mark.parametrize("name", list(WATCHED))
+def test_watch_counts_each_event_site(name):
+    run, events = WATCHED[name]
+    with fxp.overflow_watch() as watch:
+        run()
+    assert watch.events == events
+
+
+def test_clean_model_pass_counts_no_event():
+    cfg = model.ModelConfig()
+    x = data.generate_synthetic(50, seed=3).feature_tensor()
+    with fxp.overflow_watch() as watch:
+        model.forward_batch(cfg, model.make_analytic_weights(cfg), x, fmt=FxFormat(6, 10))
+    assert watch.events == 0
+
+
+def test_leaving_the_watch_leaves_no_state():
+    saturate = WATCHED["kernel saturates"][0]
+    with fxp.overflow_watch() as outer:
+        with pytest.raises(ZeroDivisionError):
+            with fxp.overflow_watch() as inner:
+                1 / 0
+        saturate()  # counted by the outer watch only
+    saturate()  # counted by neither
+    assert (outer.events, inner.events) == (1, 0)
+    assert fxp._watch is None

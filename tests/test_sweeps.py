@@ -1,13 +1,14 @@
 """Sweep determinism and CSV emission."""
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fxattn import costmodel as cm
-from fxattn import data, model, sweeps
+from fxattn import data, metrics, model, sweeps
 from fxattn.data import Dataset
-from fxattn.fxp import parse_format
+from fxattn.fxp import FxFormat, parse_format
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,45 @@ def test_precision_sweep_parallel_matches_serial(setup):
     serial = sweeps.sweep_precision(cfg, w, ds, [8, 10], [4, 8])
     parallel = sweeps.sweep_precision(cfg, w, ds, [8, 10], [4, 8], jobs=2)
     assert serial == parallel
+
+
+def brute_force(cfg, w, ds, int_bits_list, frac_bits_list) -> list[tuple]:
+    """The precision sweep's rows, every grid point run through forward_batch."""
+    x, labels = ds.feature_tensor(), ds.labels()
+
+    def aucs(fmt):
+        per_class = metrics.one_vs_rest_aucs(model.forward_batch(cfg, w, x, fmt=fmt),
+                                             labels, data.LABELS)
+        return per_class, float(np.mean(list(per_class.values())))
+
+    _, macro_float = aucs(None)
+    rows = []
+    for ib in int_bits_list:
+        for fb in frac_bits_list:
+            per_class, macro = aucs(FxFormat(ib, fb))
+            rows.append((ib, fb, per_class["b"], per_class["c"], per_class["light"],
+                         macro, macro / macro_float))
+    return rows
+
+
+@pytest.mark.parametrize("weights, int_bits, frac_bits, ran", [
+    ("analytic", [6, 7, 8, 9, 10], [0, 4, 10], 6),  # int 7 proves every column
+    ("random", [6, 8, 10], [4, 10], 6),  # no column proves
+    # int 1 cannot hold the reciprocal table's 1.0, int 8 proves, 10 and the second 8 reuse it
+    ("analytic", [8, 1, 10, 8], [10, 4], 4),
+])
+def test_pruned_sweep_matches_brute_force(setup, caplog, weights, int_bits, frac_bits, ran):
+    cfg, w, ds = setup
+    if weights == "random":  # the weights of the benchmark's infer workloads
+        w = model.random_weights(cfg, np.random.default_rng([20240601, 1]))
+    want = brute_force(cfg, w, ds, int_bits, frac_bits)
+    points = len(set(int_bits)) * len(set(frac_bits))
+    for jobs in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fxattn.sweeps"):
+            got = sweeps.sweep_precision(cfg, w, ds, int_bits, frac_bits, jobs=jobs)
+        assert list(got.rows) == want, jobs
+        assert f"{ran} of {points} points ran" in caplog.text, jobs
 
 
 def test_precision_sweep_requires_all_classes(setup):
