@@ -208,16 +208,13 @@ def _shift_round_array(p: np.ndarray, shift: int, rounding: Rounding) -> np.ndar
 
 @dataclass
 class OverflowWatch:
-    """Overflow events counted while :func:`overflow_watch` is open.
-
-    One event is one call that changed a value by overflow handling, one
-    :func:`quantize_array` call with an input outside
-    ``[-2**(int_bits - 1), 2**(int_bits - 1))`` (infinities included), or
-    one :func:`saturate` call that clamped a value. A pass that counts none
-    computes the same raws in every format with more integer bits and the
-    same fraction bits, provided it computes all of them itself: a
-    quantization or table cached from an earlier pass would carry no count.
-    """
+    """Overflow events counted while :func:`overflow_watch` is open: calls
+    that saturated or wrapped a value (:func:`saturate` included) and
+    :func:`quantize_array` calls with an input outside
+    ``[-2**(int_bits - 1), 2**(int_bits - 1))``, infinities included. A pass
+    that counts none computes the same raws at any wider int width, provided
+    it computes them all itself: a quantization or table cached from an
+    earlier pass would carry no count."""
 
     events: int = 0
 
