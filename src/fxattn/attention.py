@@ -319,19 +319,20 @@ def run_mha_reference(cfg: MhaConfig, weights: MhaWeights,
 
 def mha_forward_batch(cfg: MhaConfig, weights: MhaWeights,
                       softmax_cfg: SoftmaxConfig | None, x: Tensor,
-                      mask: np.ndarray | None = None) -> Tensor:
+                      mask: np.ndarray | None = None, scale=None) -> Tensor:
     """Attention over a batch (n, seq_len, d_model); bit-exact to the
-    reference in fixed mode (integer accumulation is order-free)."""
+    reference in fixed mode (integer accumulation is order-free).
+
+    ``scale`` is :func:`score_scale` for x's number mode, computed here
+    when not given.
+    """
     if x.ndim != 3:
         raise ValueError(
             f"batch shape {tuple(x.shape)} != (n, {cfg.seq_len}, {cfg.d_model})"
         )
     _check_inputs(cfg, weights, x.shape[1:], mask)
-    scale = score_scale(cfg, L.fmt_of(x))
-    # Every batch-sized temporary is bound to a name, so it lives until the
-    # next head rebinds it (merged until the return). Freeing them as soon as
-    # they were used made the allocator return and re-fault heap pages on
-    # every pass: 2.4x the page faults, about 10% fewer jets/s on 10k jets.
+    if scale is None:
+        scale = score_scale(cfg, L.fmt_of(x))
     heads = []
     for h in range(cfg.num_heads):
         # a product per projection, unlike stage 1's joined one: a float

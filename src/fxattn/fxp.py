@@ -214,7 +214,10 @@ class OverflowWatch:
     ``[-2**(int_bits - 1), 2**(int_bits - 1))``, infinities included. A pass
     that counts none computes the same raws at any wider int width, provided
     it computes them all itself: a quantization or table cached from an
-    earlier pass would carry no count."""
+    earlier pass would carry no count. Events are counted per call, and a
+    chunked batch pass (:func:`fxattn.model.forward_batch`) makes each call
+    once per chunk, so the count grows with the number of chunks: only zero
+    against nonzero carries the proof."""
 
     events: int = 0
 

@@ -167,6 +167,29 @@ PINNED_PREDICTIONS_SHA256 = {
 }
 
 
+# sha256 of forward_batch's probability bytes over more jets than one chunk:
+# generate_synthetic(1100, seed=20240601) and random_weights(default_rng(
+# [20240601, 1])), recorded while the pass still ran the batch whole
+PINNED_CHUNKED_PROBS_SHA256 = {
+    None: "1a0a9ffc3a8346c7b9ae8585b0d17fa477c5410b964ceb6b51e00d6417cbe017",
+    "fixed<20,10>": "43554f33e0fd58b4a934436856aa24b513f33a36290901167525d4d4d1097f35",
+}
+
+
+def test_chunked_probabilities_pinned():
+    import hashlib
+
+    import numpy as np
+
+    from fxattn import data, fxp, model
+    cfg = model.ModelConfig()
+    w = model.random_weights(cfg, np.random.default_rng([20240601, 1]))
+    x = data.generate_synthetic(1100, seed=20240601).feature_tensor()
+    for fmt, want in PINNED_CHUNKED_PROBS_SHA256.items():
+        probs = model.forward_batch(cfg, w, x, fmt=fmt and fxp.parse_format(fmt))
+        assert hashlib.sha256(probs.tobytes()).hexdigest() == want, fmt
+
+
 def test_infer_predictions_pinned(tmp_path, run_cli):
     import hashlib
     run_cli("gen-data", "--n", "200", "--seed", "11", "--out", str(tmp_path))
