@@ -275,8 +275,8 @@ def quantize_weights(w: ModelWeights, fmt: FxFormat) -> ModelWeights:
 # ---------------------------------------------------------------------------
 
 # Jets per chunk of a batch pass. At this size every temporary of a chunk
-# (the largest is a (512, 15, 15) score block, 0.9 MB) stays in cache and in
-# the heap between chunks; 256-512 beat 1024-2048 on a 10k-jet pass.
+# (the largest is a (512, 15, 15) score block, 0.9 MB) stays in cache, and
+# 256-512 beat 1024-2048 on a 10k-jet pass.
 CHUNK_JETS = 512
 
 

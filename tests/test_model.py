@@ -1,6 +1,7 @@
 """Full-model forward passes, weight file round trips, analytic constructor."""
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,7 +247,6 @@ def test_chunked_forward_equals_per_jet_object_tier(monkeypatch):
 def test_pass_memory_independent_of_batch_size(fmt):
     # a pass holds one chunk's temporaries at a time; before chunking the
     # peak grew with the batch (57.3 MiB at 4096 jets against 14.5 at 1024)
-    import tracemalloc
     cfg, w, x = benchmark_inputs(4096)
     fmt = fmt and fxp.parse_format(fmt)
     peaks = []
