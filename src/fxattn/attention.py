@@ -319,20 +319,15 @@ def run_mha_reference(cfg: MhaConfig, weights: MhaWeights,
 
 def mha_forward_batch(cfg: MhaConfig, weights: MhaWeights,
                       softmax_cfg: SoftmaxConfig | None, x: Tensor,
-                      mask: np.ndarray | None = None, scale=None) -> Tensor:
+                      mask: np.ndarray | None = None) -> Tensor:
     """Attention over a batch (n, seq_len, d_model); bit-exact to the
-    reference in fixed mode (integer accumulation is order-free).
-
-    ``scale`` is :func:`score_scale` for x's number mode, computed here
-    when not given.
-    """
+    reference in fixed mode (integer accumulation is order-free)."""
     if x.ndim != 3:
         raise ValueError(
             f"batch shape {tuple(x.shape)} != (n, {cfg.seq_len}, {cfg.d_model})"
         )
     _check_inputs(cfg, weights, x.shape[1:], mask)
-    if scale is None:
-        scale = score_scale(cfg, L.fmt_of(x))
+    scale = score_scale(cfg, L.fmt_of(x))
     heads = []
     for h in range(cfg.num_heads):
         # a product per projection, unlike stage 1's joined one: a float

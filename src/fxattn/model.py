@@ -4,8 +4,8 @@ The network mirrors the flavor-tagging benchmark: identical encoder blocks
 (two-head attention plus a two-layer feed-forward, residual adds, no layer
 norm), a flatten, three ReLU head layers and a softmax output. One shared
 fixed-point format covers the whole model per run; weights are quantized
-once per pass, activations at every layer boundary. A batch pass is
-planned once and then runs its jets in cache-sized chunks.
+once per pass, activations at every layer boundary. A batch pass runs its
+jets in cache-sized chunks.
 
 Weight files are self-describing JSON: a ``config`` header plus a
 ``tensors`` map of named nested decimal arrays stored at 9 significant
@@ -26,10 +26,10 @@ import numpy as np
 from fxattn import fxp
 from fxattn import layers as L
 from fxattn.attention import MhaConfig, MhaWeights, mha_forward_batch, mha_shapes, \
-    quantize_mha_weights, random_tensor, score_scale
+    quantize_mha_weights, random_tensor
 from fxattn.fxp import FxFormat
 from fxattn.layers import Activation, DenseLayer
-from fxattn.softmax import SoftmaxConfig, make_softmax_config
+from fxattn.softmax import make_softmax_config
 
 log = logging.getLogger(__name__)
 
@@ -280,55 +280,15 @@ def quantize_weights(w: ModelWeights, fmt: FxFormat) -> ModelWeights:
 CHUNK_JETS = 512
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """What a pass fixes before its first chunk: weights in the pass's
-    number mode, both softmax tables and the 1/sqrt(d_k) score scale."""
-
-    fmt: FxFormat | None
-    weights: ModelWeights
-    score_cfg: SoftmaxConfig | None
-    out_cfg: SoftmaxConfig | None
-    scale: float | fxp.FxArray
-
-
-def _plan(cfg: ModelConfig, weights: ModelWeights, fmt: FxFormat | None) -> _Plan:
-    scale = score_scale(cfg.encoder.mha, fmt)
-    if fmt is None:
-        return _Plan(None, weights, None, None, scale)
-    score_cfg, out_cfg = (make_softmax_config(fmt, n_max=n + 1,
-                                              table_size=cfg.softmax_table_size,
-                                              exp_lo=cfg.softmax_exp_lo)
-                          for n in (cfg.seq_len, cfg.num_classes))
-    return _Plan(fmt, quantize_weights(weights, fmt), score_cfg, out_cfg, scale)
-
-
-def _run_chunk(cfg: ModelConfig, plan: _Plan, x: np.ndarray) -> np.ndarray:
-    """Probabilities of one chunk of a checked (n, seq_len, num_features) batch."""
-    h = x if plan.fmt is None else fxp.quantize_array(x, plan.fmt)
-    for block in plan.weights.blocks:
-        attn = mha_forward_batch(cfg.encoder.mha, block.mha, plan.score_cfg, h,
-                                 scale=plan.scale)
-        h = L.add(h, attn) if cfg.encoder.residual_mha else attn
-        ff = L.dense_forward(block.ff2, L.dense_forward(block.ff1, h))
-        h = L.add(h, ff) if cfg.encoder.residual_ff else ff
-
-    flat = h.reshape(h.shape[0], cfg.flatten_dim)
-    for layer in plan.weights.head:
-        flat = L.dense_forward(layer, flat)
-    probs = L.dense_forward(plan.weights.output, flat, softmax_cfg=plan.out_cfg)
-    return probs if plan.fmt is None else probs.to_float()
-
-
 def forward_batch(cfg: ModelConfig, weights: ModelWeights, x: np.ndarray,
                   fmt: FxFormat | None = None) -> np.ndarray:
     """Probabilities (n, num_classes) for a batch of (n, seq_len, num_features).
 
     fmt=None runs float64; otherwise the whole model runs in that fixed
-    format, activations quantized at every boundary. The pass is planned
-    once (weights quantized, softmax tables and score scale built), then
-    runs over ceil(n / CHUNK_JETS) near-equal contiguous chunks; each jet's
-    arithmetic is independent of the others, so the chunking moves no bit.
+    format, activations quantized at every boundary. Weights are quantized
+    and both softmax tables built once per pass; the jets then run in
+    ceil(n / CHUNK_JETS) near-equal contiguous chunks. Fixed-point
+    arithmetic is exact per jet, so in fixed mode the chunking moves no bit.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[1:] != (cfg.seq_len, cfg.num_features):
@@ -337,9 +297,35 @@ def forward_batch(cfg: ModelConfig, weights: ModelWeights, x: np.ndarray,
     if np.isnan(x).any():
         raise ValueError("NaN in input sample")
 
-    plan = _plan(cfg, weights, fmt)
+    if fmt is None:
+        qw = weights
+        score_cfg = out_cfg = None
+    else:
+        qw = quantize_weights(weights, fmt)
+        score_cfg = make_softmax_config(fmt, n_max=cfg.seq_len + 1,
+                                        table_size=cfg.softmax_table_size,
+                                        exp_lo=cfg.softmax_exp_lo)
+        out_cfg = make_softmax_config(fmt, n_max=cfg.num_classes + 1,
+                                      table_size=cfg.softmax_table_size,
+                                      exp_lo=cfg.softmax_exp_lo)
+
+    def run_chunk(h: np.ndarray) -> np.ndarray:
+        if fmt is not None:
+            h = fxp.quantize_array(h, fmt)
+        for block in qw.blocks:
+            attn = mha_forward_batch(cfg.encoder.mha, block.mha, score_cfg, h)
+            h = L.add(h, attn) if cfg.encoder.residual_mha else attn
+            ff = L.dense_forward(block.ff2, L.dense_forward(block.ff1, h))
+            h = L.add(h, ff) if cfg.encoder.residual_ff else ff
+
+        flat = h.reshape(h.shape[0], cfg.flatten_dim)
+        for layer in qw.head:
+            flat = L.dense_forward(layer, flat)
+        probs = L.dense_forward(qw.output, flat, softmax_cfg=out_cfg)
+        return probs.to_float() if fmt is not None else probs
+
     chunks = np.array_split(x, max(1, -(-len(x) // CHUNK_JETS)))
-    return np.concatenate([_run_chunk(cfg, plan, c) for c in chunks])
+    return np.concatenate([run_chunk(c) for c in chunks])
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,8 @@ PINNED_PREDICTIONS_SHA256 = {
 
 # sha256 of forward_batch's probability bytes over more jets than one chunk:
 # generate_synthetic(1100, seed=20240601) and random_weights(default_rng(
-# [20240601, 1])), recorded while the pass still ran the batch whole
+# [20240601, 1])), recorded while the pass still ran the batch whole; the
+# fixed entry is exact on any host, the float one on the recording host's BLAS
 PINNED_CHUNKED_PROBS_SHA256 = {
     None: "1a0a9ffc3a8346c7b9ae8585b0d17fa477c5410b964ceb6b51e00d6417cbe017",
     "fixed<20,10>": "43554f33e0fd58b4a934436856aa24b513f33a36290901167525d4d4d1097f35",
