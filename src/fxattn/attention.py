@@ -16,7 +16,8 @@ and bit-exactness are the point; simulated timing lives in the cost model.
 matrices in the same evaluation order, so streaming and reference outputs
 are equal bit for bit in both float and fixed modes (the pipeline's
 defining correctness property). ``mha_forward_batch`` is the multi-sample
-fast path used by the model; in fixed mode it too is bit-exact.
+fast path used by the model; in fixed mode it too is bit-exact. All three
+form Q/K/V through stage 1's joined product, over a row or a whole batch.
 
 All three paths compute with the op set of :mod:`fxattn.layers`, which is
 where float and fixed-point arithmetic part ways; nothing here tests the
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -188,16 +190,16 @@ def _check_inputs(cfg: MhaConfig, weights: MhaWeights, shape: tuple,
 # pipeline stages
 # ---------------------------------------------------------------------------
 
-def _qkv_rows(cfg: MhaConfig, weights: MhaWeights, rows):
-    """Per input row, its slices q[0], k[0], v[0], q[1], ... from one product with
-    every head's transposed projections side by side (the cost model's qkv_proj)."""
-    pairs = [(w[h], b[h]) for h in range(cfg.num_heads) for w, b in weights.qkv()]
-    w_t = L.concat([w.swapaxes(-1, -2) for w, _ in pairs])
-    bias = L.concat([b for _, b in pairs])
-    edges = np.cumsum([0] + [b.shape[-1] for _, b in pairs])
-    for x in rows:
-        y = L.add(L.matmul(x, w_t), bias)
-        yield [y[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+def _qkv(cfg: MhaConfig, weights: MhaWeights, x: Tensor) -> list:
+    """Rows x (..., d_model) projected to q[0], k[0], v[0], q[1], ... by one
+    product with every head's transposed projections side by side (the cost
+    model's qkv_proj), then sliced per projection."""
+    # (heads, d_model, d_k + d_k + d_v) joined, then heads side by side
+    w_t = L.concat([w.swapaxes(-1, -2) for w, _ in weights.qkv()])
+    w_t = w_t.swapaxes(0, 1).reshape(cfg.d_model, -1)
+    y = L.add(L.matmul(x, w_t), L.concat([b for _, b in weights.qkv()]).reshape(-1))
+    edges = list(accumulate([cfg.d_k, cfg.d_k, cfg.d_v] * cfg.num_heads, initial=0))
+    return [y[..., lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def stage1_project(cfg: MhaConfig, weights: MhaWeights, in_ch: StreamChannel):
@@ -205,23 +207,21 @@ def stage1_project(cfg: MhaConfig, weights: MhaWeights, in_ch: StreamChannel):
     if in_ch.pending != cfg.seq_len:
         raise ValueError(f"expected {cfg.seq_len} input rows, found {in_ch.pending}")
     chs = [StreamChannel(cfg.seq_len, f"{n}[{h}]") for h in range(cfg.num_heads) for n in "qkv"]
-    for parts in _qkv_rows(cfg, weights, (in_ch.read() for _ in range(cfg.seq_len))):
-        for ch, part in zip(chs, parts):
+    for _ in range(cfg.seq_len):
+        for ch, part in zip(chs, _qkv(cfg, weights, in_ch.read())):
             ch.write(part)
     return chs[0::3], chs[1::3], chs[2::3]
 
 
 def stage2_scores(cfg: MhaConfig, softmax_cfg: SoftmaxConfig | None,
                   q_ch: StreamChannel, k_ch: StreamChannel,
-                  scale=None, mask: np.ndarray | None = None) -> StreamChannel:
+                  scale, mask: np.ndarray | None = None) -> StreamChannel:
     """Score rows: softmax((q . k_j) * c) with K preloaded into a register block."""
     if q_ch.pending != cfg.seq_len or k_ch.pending != cfg.seq_len:
         raise ValueError(
             f"stream length mismatch: q={q_ch.pending}, k={k_ch.pending}, "
             f"expected {cfg.seq_len}"
         )
-    if scale is None:
-        scale = score_scale(cfg, L.fmt_of(q_ch._rows[0]))
     # the whole K matrix is registered before any scoring starts
     k_block = L.stack([k_ch.read() for _ in range(cfg.seq_len)])
     out = StreamChannel(cfg.seq_len, "scores")
@@ -298,7 +298,7 @@ def run_mha_reference(cfg: MhaConfig, weights: MhaWeights,
     pipeline, so results are bit-exact equal in every number mode.
     """
     _check_inputs(cfg, weights, x.shape, mask)
-    projected = list(_qkv_rows(cfg, weights, (x[t] for t in range(cfg.seq_len))))
+    projected = [_qkv(cfg, weights, x[t]) for t in range(cfg.seq_len)]
     scale = score_scale(cfg, L.fmt_of(x))
     head_blocks = []
     for h in range(cfg.num_heads):
@@ -328,13 +328,10 @@ def mha_forward_batch(cfg: MhaConfig, weights: MhaWeights,
         )
     _check_inputs(cfg, weights, x.shape[1:], mask)
     scale = score_scale(cfg, L.fmt_of(x))
+    qkv = _qkv(cfg, weights, x)
     heads = []
     for h in range(cfg.num_heads):
-        # a product per projection, unlike stage 1's joined one: a float
-        # product of another shape can round differently, and these bits are pinned
-        q = L.add(L.matmul(x, weights.w_q[h].swapaxes(-1, -2)), weights.b_q[h])
-        k = L.add(L.matmul(x, weights.w_k[h].swapaxes(-1, -2)), weights.b_k[h])
-        v = L.add(L.matmul(x, weights.w_v[h].swapaxes(-1, -2)), weights.b_v[h])
+        q, k, v = qkv[3 * h:3 * h + 3]
         dots = L.matmul(q, k.swapaxes(-1, -2))
         scores = L.mul(dots, scale)
         probs = L.softmax(scores, softmax_cfg, mask)

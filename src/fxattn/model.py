@@ -2,7 +2,9 @@
 
 The network mirrors the flavor-tagging benchmark: identical encoder blocks
 (two-head attention plus a two-layer feed-forward, residual adds, no layer
-norm), a flatten, three ReLU head layers and a softmax output. One shared
+norm), a flatten, three ReLU head layers and a softmax output. The configs
+hold only independent settings: the sequence length and the feature count
+are the attention's, and every block adds both residuals. One shared
 fixed-point format covers the whole model per run; weights are quantized
 once per pass, activations at every layer boundary. A batch pass runs its
 jets in cache-sized chunks.
@@ -48,13 +50,11 @@ class WeightFormatError(ValueError):
 class EncoderBlockConfig:
     mha: MhaConfig
     ff_dims: tuple[int, int] = (8, 6)
-    residual_mha: bool = True
-    residual_ff: bool = True
 
     def __post_init__(self) -> None:
         if len(self.ff_dims) != 2 or min(self.ff_dims) < 1:
             raise ValueError(f"ff_dims must be two positive dims, got {self.ff_dims}")
-        if self.residual_ff and self.ff_dims[1] != self.mha.d_model:
+        if self.ff_dims[1] != self.mha.d_model:
             raise ValueError(
                 f"residual feed-forward needs ff_dims[1] == d_model "
                 f"({self.ff_dims[1]} != {self.mha.d_model})"
@@ -69,26 +69,28 @@ class ModelConfig:
             mha=MhaConfig(d_model=6, num_heads=2, seq_len=15)))
     head_dims: tuple[int, ...] = (32, 16, 8)
     num_classes: int = 3
-    seq_len: int = 15
-    num_features: int = 6
     softmax_table_size: int = 1024
     softmax_exp_lo: float = -8.0
 
     def __post_init__(self) -> None:
         if self.num_encoder_blocks < 0:
             raise ValueError("num_encoder_blocks must be >= 0")
-        if self.encoder.mha.seq_len != self.seq_len:
-            raise ValueError("encoder seq_len disagrees with model seq_len")
-        if self.encoder.mha.d_model != self.num_features:
-            raise ValueError(
-                "tracks feed the encoder directly, so d_model must equal num_features")
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
         if min(self.head_dims, default=1) < 1:
             raise ValueError(f"head_dims must be positive, got {self.head_dims}")
 
     @property
+    def seq_len(self) -> int:
+        return self.encoder.mha.seq_len
+
+    @property
     def d_model(self) -> int:
+        return self.encoder.mha.d_model
+
+    @property
+    def num_features(self) -> int:
+        """Tracks feed the encoder directly, so this is d_model."""
         return self.encoder.mha.d_model
 
     @property
@@ -228,8 +230,6 @@ def make_analytic_weights(cfg: ModelConfig, feature_index: int = 2) -> ModelWeig
     """
     if not (0 <= feature_index < cfg.num_features):
         raise ValueError(f"feature_index {feature_index} outside 0..{cfg.num_features - 1}")
-    if not (cfg.encoder.residual_mha and cfg.encoder.residual_ff):
-        raise ValueError("analytic construction assumes residual connections")
     w = zero_weights(cfg)
     m = cfg.encoder.mha
     accum = 0 if feature_index != 0 else 1  # keep the source channel pristine
@@ -313,10 +313,8 @@ def forward_batch(cfg: ModelConfig, weights: ModelWeights, x: np.ndarray,
         if fmt is not None:
             h = fxp.quantize_array(h, fmt)
         for block in qw.blocks:
-            attn = mha_forward_batch(cfg.encoder.mha, block.mha, score_cfg, h)
-            h = L.add(h, attn) if cfg.encoder.residual_mha else attn
-            ff = L.dense_forward(block.ff2, L.dense_forward(block.ff1, h))
-            h = L.add(h, ff) if cfg.encoder.residual_ff else ff
+            h = L.add(h, mha_forward_batch(cfg.encoder.mha, block.mha, score_cfg, h))
+            h = L.add(h, L.dense_forward(block.ff2, L.dense_forward(block.ff1, h)))
 
         flat = h.reshape(h.shape[0], cfg.flatten_dim)
         for layer in qw.head:
@@ -343,8 +341,8 @@ def _config_to_dict(cfg: ModelConfig) -> dict:
         "seq_len": cfg.seq_len,
         "num_features": cfg.num_features,
         "ff_dims": list(cfg.encoder.ff_dims),
-        "residual_mha": cfg.encoder.residual_mha,
-        "residual_ff": cfg.encoder.residual_ff,
+        "residual_mha": True,
+        "residual_ff": True,
         "layer_norm": False,
         "head_dims": list(cfg.head_dims),
         "num_classes": cfg.num_classes,
@@ -381,16 +379,20 @@ def _config_from_dict(d) -> ModelConfig:
         mha = MhaConfig(d_model=_header(d, "d_model"), num_heads=_header(d, "num_heads"),
                         seq_len=_header(d, "seq_len"),
                         d_k=_header(d, "d_k"), d_v=_header(d, "d_v"))
-        encoder = EncoderBlockConfig(
-            mha=mha, ff_dims=_header_ints(d, "ff_dims"),
-            residual_mha=_header(d, "residual_mha", (bool,)),
-            residual_ff=_header(d, "residual_ff", (bool,)))
+        if _header(d, "num_features") != mha.d_model:
+            raise WeightFormatError(f"config field 'num_features' must equal d_model "
+                                    f"{mha.d_model}: tracks feed the encoder directly")
+        for name in ("residual_mha", "residual_ff"):
+            if not _header(d, name, (bool,)):
+                raise WeightFormatError(f"config field '{name}': every block adds its residual")
+        encoder = EncoderBlockConfig(mha=mha, ff_dims=_header_ints(d, "ff_dims"))
         return ModelConfig(
             num_encoder_blocks=_header(d, "num_encoder_blocks"), encoder=encoder,
             head_dims=_header_ints(d, "head_dims"), num_classes=_header(d, "num_classes"),
-            seq_len=_header(d, "seq_len"), num_features=_header(d, "num_features"),
-            softmax_table_size=_header(d, "softmax_table_size", default=1024),
-            softmax_exp_lo=_header(d, "softmax_exp_lo", (float, int), default=-8.0))
+            softmax_table_size=_header(d, "softmax_table_size",
+                                       default=ModelConfig.softmax_table_size),
+            softmax_exp_lo=_header(d, "softmax_exp_lo", (float, int),
+                                   default=ModelConfig.softmax_exp_lo))
     except KeyError as exc:
         raise WeightFormatError(f"config header missing field {exc}") from None
     except (TypeError, ValueError) as exc:

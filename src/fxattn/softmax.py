@@ -102,8 +102,8 @@ class SoftmaxConfig:
     io_format: FxFormat
 
 
-def make_softmax_config(fmt: FxFormat, n_max: float, table_size: int = 1024,
-                        exp_lo: float = -8.0) -> SoftmaxConfig:
+def make_softmax_config(fmt: FxFormat, n_max: float, *, table_size: int,
+                        exp_lo: float) -> SoftmaxConfig:
     """Tables for vectors of length < n_max; after max-subtraction the exp sum
     lies in [1, n], hence the reciprocal domain [1, n_max)."""
     return SoftmaxConfig(

@@ -16,7 +16,7 @@ from fxattn import costmodel as cm
 from fxattn import data, fxp, metrics, model, sweeps
 from fxattn import softmax as sm
 from fxattn.fxp import FxFormat, Overflow, Rounding
-from draws import draw_mha_weights
+from draws import draw_mha_weights, softmax_tables
 from fxoracle import fraction_of
 
 _MODULE_T0 = time.monotonic()
@@ -67,7 +67,7 @@ def test_criterion_1_streaming_reference_bit_exact():
                             d_k=d_k, d_v=d_v)
         w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
         x = fxp.quantize_array(rng.normal(0, 1.5, size=(seq, d_model)), fmt)
-        scfg = sm.make_softmax_config(fmt, n_max=seq + 1)
+        scfg = softmax_tables(fmt, seq + 1)
         out_s = att.run_mha_streaming(cfg, w, scfg, x)
         out_r = att.run_mha_reference(cfg, w, scfg, x)
         assert np.array_equal(out_s.raw, out_r.raw), \

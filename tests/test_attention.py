@@ -10,12 +10,12 @@ from fxattn import softmax as sm
 from fxattn.attention import ChannelError, MhaConfig, StreamChannel
 from fxattn.fxp import FxFormat, FxArray, Overflow
 from fxattn.model import ModelConfig
-from draws import draw_mha_weights
+from draws import draw_mha_weights, softmax_tables
 from fxoracle import oracle_add, oracle_matmul
 
 
 def make_softmax(fmt, seq_len):
-    return sm.make_softmax_config(fmt, n_max=seq_len + 1)
+    return softmax_tables(fmt, seq_len + 1)
 
 
 def identity_weights(cfg):
@@ -159,10 +159,32 @@ def test_stage1_one_product_per_row(monkeypatch):
                 assert ch.read().raw.tolist() == want
 
 
+def test_batch_one_qkv_product(monkeypatch):
+    # the batch path projects through stage 1's joined product too: one Q/K/V
+    # product, two per head (scores, weighted V) and the output projection
+    cfg = ModelConfig().encoder.mha
+    fmt = FxFormat(10, 10)
+    rng = np.random.default_rng(20)
+    w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
+    xs = fxp.quantize_array(rng.normal(size=(3, cfg.seq_len, cfg.d_model)), fmt)
+    scfg = make_softmax(fmt, cfg.seq_len)
+    calls = []
+    for name in ("fx_matmul", "fx_add_array"):
+        kernel = getattr(fxp, name)
+        monkeypatch.setattr(fxp, name, lambda a, b, name=name, kernel=kernel:
+                            calls.append(name) or kernel(a, b))
+    batch = att.mha_forward_batch(cfg, w, scfg, xs)
+    assert calls.count("fx_matmul") == 6 and calls.count("fx_add_array") == 2
+    monkeypatch.undo()
+    for i in range(3):
+        assert np.array_equal(batch.raw[i], att.run_mha_reference(cfg, w, scfg, xs[i]).raw)
+
+
 def test_stage2_zero_qk_uniform_scores():
     cfg = MhaConfig(d_model=4, num_heads=1, seq_len=5, d_k=4)
     zeros = [np.zeros(4) for _ in range(5)]
-    out = att.stage2_scores(cfg, None, fill_channel(zeros), fill_channel(zeros))
+    out = att.stage2_scores(cfg, None, fill_channel(zeros), fill_channel(zeros),
+                            att.score_scale(cfg, None))
     for _ in range(5):
         assert np.allclose(out.read(), 0.2, atol=1e-15)
 
@@ -170,7 +192,7 @@ def test_stage2_zero_qk_uniform_scores():
 def test_stage2_single_row():
     cfg = MhaConfig(d_model=2, num_heads=1, seq_len=1, d_k=2)
     out = att.stage2_scores(cfg, None, fill_channel([np.ones(2)]),
-                            fill_channel([np.ones(2)]))
+                            fill_channel([np.ones(2)]), att.score_scale(cfg, None))
     assert np.allclose(out.read(), [1.0], atol=1e-15)
 
 
@@ -180,7 +202,7 @@ def test_stage2_matches_float_oracle():
     q = rng.normal(size=(4, 4))
     k = rng.normal(size=(4, 4))
     out = att.stage2_scores(cfg, None, fill_channel(rows_of(q)),
-                            fill_channel(rows_of(k)))
+                            fill_channel(rows_of(k)), att.score_scale(cfg, None))
     got = np.stack([out.read() for _ in range(4)])
     want = sm.softmax_exact(q @ k.T / math.sqrt(4))
     assert np.allclose(got, want, atol=1e-12)
@@ -190,7 +212,7 @@ def test_stage2_length_mismatch():
     cfg = MhaConfig(d_model=2, num_heads=1, seq_len=3, d_k=2)
     with pytest.raises(ValueError):
         att.stage2_scores(cfg, None, fill_channel([np.ones(2)] * 3),
-                          fill_channel([np.ones(2)] * 2))
+                          fill_channel([np.ones(2)] * 2), att.score_scale(cfg, None))
 
 
 def test_stage3_one_hot_scores_select_rows():
@@ -388,7 +410,7 @@ def test_fixed_scores_nonnegative_and_bounded_sums():
     x = fxp.quantize_array(rng.normal(size=(5, 6)), fmt)
     scfg = make_softmax(fmt, 5)
     in_q, in_k, _ = att.stage1_project(cfg, w, fill_channel(rows_of(x)))
-    s_ch = att.stage2_scores(cfg, scfg, in_q[0], in_k[0])
+    s_ch = att.stage2_scores(cfg, scfg, in_q[0], in_k[0], att.score_scale(cfg, fmt))
     rows = np.stack([s_ch.read().raw for _ in range(5)])
     assert rows.min() >= 0
     sums = rows.sum(axis=1) * fmt.step
@@ -423,7 +445,7 @@ def test_mask_fixed_masked_key_gets_zero_weight(spec):
     mask = np.array([True, True, False, True, False])
     q, k, _ = att.stage1_project(cfg, w, fill_channel(rows_of(x)))
     for h in range(cfg.num_heads):
-        s_ch = att.stage2_scores(cfg, scfg, q[h], k[h], mask=mask)
+        s_ch = att.stage2_scores(cfg, scfg, q[h], k[h], att.score_scale(cfg, fmt), mask)
         rows = np.stack([s_ch.read().raw for _ in range(5)])
         assert np.all(rows[:, ~mask] == 0)
         assert rows.min() >= 0

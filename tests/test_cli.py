@@ -75,6 +75,24 @@ def test_infer_malformed_header_is_diagnosed(tmp_path, run_cli):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("field, value", [
+    ("residual_mha", False), ("residual_ff", False), ("num_features", 5),
+])
+def test_infer_header_the_network_cannot_take_exits_1(tmp_path, run_cli, field, value):
+    import json
+    run_cli("gen-data", "--n", "20", "--seed", "1", "--out", str(tmp_path))
+    run_cli("make-weights", "--out", str(tmp_path))
+    wpath = tmp_path / "weights.json"
+    doc = json.loads(wpath.read_text())
+    doc["config"][field] = value
+    wpath.write_text(json.dumps(doc))
+    out = run_cli("infer", "--weights", str(wpath),
+                  "--data", str(tmp_path / "dataset.csv"), "--out", str(tmp_path))
+    assert out.returncode == 1
+    assert "error:" in out.stderr and field in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_full_flow_and_reuse_csv(tmp_path, run_cli):
     assert run_cli("gen-data", "--n", "40", "--seed", "3",
                    "--out", str(tmp_path)).returncode == 0

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from fxattn import data, fxp, model
 from fxattn.fxp import FxArray, FxFormat, Overflow, Rounding
-from fxattn.softmax import make_softmax_config, softmax_lut
+from fxattn.softmax import softmax_lut
+from draws import softmax_tables
 from fxoracle import oracle_add, oracle_matmul, oracle_mul, oracle_quantize
 
 
@@ -502,7 +503,7 @@ def _raws(fmt, *raws):
 
 def _shift_saturates():
     # the shift -300 - 300 lies below -2**9; nothing else in the softmax overflows
-    cfg = make_softmax_config(Q1010, n_max=4)
+    cfg = softmax_tables(Q1010, n_max=4)
     softmax_lut(cfg, fxp.quantize_array([300.0, -300.0, 0.0], Q1010))
 
 
@@ -518,7 +519,7 @@ WATCHED = {
     "-inf": (lambda: fxp.quantize_array([-np.inf], Q44), 1),
     "+inf, wrap": (lambda: fxp.quantize_array([np.inf], W44), 1),
     # 1/1 = 1.0 does not fit one integer bit
-    "reciprocal table at int_bits=1": (lambda: make_softmax_config(FxFormat(1, 8), n_max=4), 2),
+    "reciprocal table at int_bits=1": (lambda: softmax_tables(FxFormat(1, 8), n_max=4), 2),
     "softmax shift saturates": (_shift_saturates, 1),
     "clean": (lambda: [fxp.quantize_array([-8.0, 7.9375], Q44),
                        fxp.quantize_array(np.empty((0, 3)), Q44),

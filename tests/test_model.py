@@ -12,7 +12,7 @@ from fxattn import layers as L
 from fxattn import softmax as sm
 from fxattn.fxp import FxArray, FxFormat
 from fxattn.model import ModelConfig, WeightFormatError
-from draws import draw_mha_weights
+from draws import draw_mha_weights, softmax_tables
 
 # Regression floor for the analytic model on the seed-fixed synthetic set
 # (measured 0.96907 at n=10000, seed 20240601).
@@ -22,8 +22,7 @@ B_AUC_FLOOR = 0.96
 def small_cfg(blocks=1, seq=4):
     mha = att.MhaConfig(d_model=6, num_heads=2, seq_len=seq)
     return ModelConfig(num_encoder_blocks=blocks,
-                       encoder=model.EncoderBlockConfig(mha=mha),
-                       head_dims=(8, 4), seq_len=seq)
+                       encoder=model.EncoderBlockConfig(mha=mha), head_dims=(8, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -50,12 +49,6 @@ def test_config_residual_dim_check():
     mha = att.MhaConfig(d_model=6, num_heads=2, seq_len=15)
     with pytest.raises(ValueError, match="ff_dims"):
         model.EncoderBlockConfig(mha=mha, ff_dims=(8, 5))
-
-
-def test_config_seq_len_consistency():
-    mha = att.MhaConfig(d_model=6, num_heads=2, seq_len=10)
-    with pytest.raises(ValueError, match="seq_len"):
-        ModelConfig(encoder=model.EncoderBlockConfig(mha=mha), seq_len=15)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +134,8 @@ def test_fixed_forward_composes_streaming_pipeline():
     got = model.forward_batch(cfg, w, x[None], fmt=fmt)[0]
 
     qw = model.quantize_weights(w, fmt)
-    score_cfg = sm.make_softmax_config(fmt, n_max=cfg.seq_len + 1)
-    out_cfg = sm.make_softmax_config(fmt, n_max=cfg.num_classes + 1)
+    score_cfg = softmax_tables(fmt, cfg.seq_len + 1)
+    out_cfg = softmax_tables(fmt, cfg.num_classes + 1)
 
     def dense(layer, v, softmax_cfg=None):
         # one row at a time, W v with fxp's kernels: independent of the
@@ -184,13 +177,18 @@ def test_float_forward_bits_pinned_to_plain_numpy():
         return e / e.sum(axis=-1, keepdims=True)
 
     h = x
+    num_heads = cfg.encoder.mha.num_heads
     for blk in w.blocks:
         m = blk.mha
+        # one product for every head's Q, K and V, then a slice per projection
+        proj = [(p_w[i], p_b[i]) for i in range(num_heads)
+                for p_w, p_b in ((m.w_q, m.b_q), (m.w_k, m.b_k), (m.w_v, m.b_v))]
+        qkv = (h @ np.concatenate([t(p_w) for p_w, _ in proj], axis=-1)
+               + np.concatenate([p_b for _, p_b in proj]))
+        parts = np.split(qkv, len(proj), axis=-1)
         heads = []
-        for i in range(cfg.encoder.mha.num_heads):
-            q = h @ t(m.w_q[i]) + m.b_q[i]
-            k = h @ t(m.w_k[i]) + m.b_k[i]
-            v = h @ t(m.w_v[i]) + m.b_v[i]
+        for i in range(num_heads):
+            q, k, v = parts[3 * i:3 * i + 3]
             heads.append(softmax((q @ t(k)) * c) @ v)
         h = h + (np.concatenate(heads, axis=-1) @ t(m.w_o) + m.b_o)
         ff = np.maximum(h @ t(blk.ff1.weights) + blk.ff1.bias, 0.0)
@@ -323,15 +321,6 @@ def test_analytic_auc_floor():
     assert auc_b > B_AUC_FLOOR
 
 
-def test_analytic_requires_residuals():
-    mha = att.MhaConfig(d_model=6, num_heads=2, seq_len=15)
-    cfg = ModelConfig(encoder=model.EncoderBlockConfig(mha=mha, residual_mha=False,
-                                                       residual_ff=False,
-                                                       ff_dims=(8, 6)))
-    with pytest.raises(ValueError, match="residual"):
-        model.make_analytic_weights(cfg)
-
-
 def test_analytic_feature_index_validation():
     with pytest.raises(ValueError):
         model.make_analytic_weights(ModelConfig(), feature_index=6)
@@ -444,6 +433,21 @@ def test_tensors_field_must_be_a_map(tmp_path, tensors):
 ])
 def test_mistyped_header_field_named(tmp_path, field, value):
     path, doc = saved_doc(tmp_path)
+    doc["config"][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(WeightFormatError, match=f"'{field}'"):
+        model.load_weights(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("residual_mha", False), ("residual_ff", False), ("num_features", 5),
+])
+def test_header_the_network_cannot_take_named(tmp_path, field, value):
+    # every block adds both residuals and tracks feed the encoder directly;
+    # the header states both, and a file that says otherwise is refused
+    path, doc = saved_doc(tmp_path)
+    assert doc["config"][field] == {"residual_mha": True, "residual_ff": True,
+                                    "num_features": 6}[field]
     doc["config"][field] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(WeightFormatError, match=f"'{field}'"):

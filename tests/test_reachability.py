@@ -87,7 +87,8 @@ def run_benchmark_entry_points() -> None:
     fmt = fxp.parse_format("fixed<20,10>")
     mha_cfg = cfg.encoder.mha
     mha = att.quantize_mha_weights(weights.blocks[0].mha, fmt)
-    scfg = sm.make_softmax_config(fmt, n_max=mha_cfg.seq_len + 1)
+    scfg = sm.make_softmax_config(fmt, n_max=mha_cfg.seq_len + 1,
+                                  table_size=cfg.softmax_table_size, exp_lo=cfg.softmax_exp_lo)
     x = fxp.quantize_array(data.generate_synthetic(1, seed=3).feature_tensor()[0], fmt)
     streamed = att.run_mha_streaming(mha_cfg, mha, scfg, x)
     assert np.array_equal(streamed.raw, att.run_mha_reference(mha_cfg, mha, scfg, x).raw)
