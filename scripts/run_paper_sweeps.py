@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Reproduce both benchmark sweeps end to end and leave the CSVs behind.
 
-Generates the synthetic dataset, builds the analytic weights, runs the full
-quantization grid (int 6..10 x frac 0..16) and the reuse-factor sweep on the
-VU13P profile, and prints the headline numbers. Everything is seeded; run it
+Runs four fxattn commands into one directory: gen-data (the synthetic
+dataset), make-weights (the analytic weights), sweep-precision over the full
+quantization grid (int 6..10 x frac 0..16) and sweep-reuse on the VU13P
+profile. Each prints its own summary line. Everything is seeded; run it
 twice and diff the outputs if you doubt that.
 
 Usage:
@@ -11,12 +12,9 @@ Usage:
 """
 import argparse
 import sys
-import time
 from pathlib import Path
 
-from fxattn import costmodel as cm
-from fxattn import data, model, sweeps
-from fxattn.fxp import parse_format
+from fxattn import cli
 
 
 def main() -> int:
@@ -27,43 +25,20 @@ def main() -> int:
     ap.add_argument("--jobs", type=int, default=1, help="sweep worker processes")
     args = ap.parse_args()
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
-
-    cfg = model.ModelConfig()
-    weights = model.make_analytic_weights(cfg)
-    model.save_weights(out / "weights.json", cfg, weights)
-    print(f"model: {model.param_count(cfg)} parameters "
-          f"(published reference {model.PUBLISHED_PARAM_COUNT})")
-
-    dataset = data.generate_synthetic(args.n, seed=args.seed)
-    data.save_csv(out / "dataset.csv", dataset)
-    counts = dataset.class_counts()
-    print(f"dataset: {len(dataset)} jets {counts} seed={args.seed}")
-
-    precision = sweeps.sweep_precision(
-        cfg, weights, dataset,
-        int_bits_list=[6, 7, 8, 9, 10],
-        frac_bits_list=list(range(0, 17, 2)),
-        jobs=args.jobs)
-    precision.write_csv(out / "precision_sweep.csv")
-    by_point = {(r[0], r[1]): r[6] for r in precision.rows}
-    print(f"precision sweep: {len(precision.rows)} points; "
-          f"ratio(10,10)={by_point[(10, 10)]:.4f}, ratio(10,4)={by_point[(10, 4)]:.4f}, "
-          f"ratio(10,0)={by_point[(10, 0)]:.4f}")
-
-    dev = cm.vu13p()
-    reuse = sweeps.sweep_reuse(cfg, [1, 2, 4], parse_format("fixed<20,10>"), dev)
-    reuse.write_csv(out / "reuse_sweep.csv")
-    for row in reuse.rows:
-        rf, dsp, latency_us = row[0], row[1], row[5]
-        ref = cm.PUBLISHED_LATENCY_US.get(rf)
-        note = f" (published {ref} us)" if ref else ""
-        print(f"reuse rf={rf}: dsp={dsp}/{dev.dsp_total} "
-              f"latency={latency_us:.6g} us{note}")
-
-    print(f"done in {time.time() - t0:.1f}s -> {out}/")
+    out = ["--out", args.out]
+    inputs = ["--weights", str(Path(args.out) / "weights.json"),
+              "--data", str(Path(args.out) / "dataset.csv")]
+    steps = [
+        ["gen-data", "--n", str(args.n), "--seed", str(args.seed), *out],
+        ["make-weights", *out],
+        ["sweep-precision", *inputs, "--int-bits", "6-10",
+         "--frac-bits", "0,2,4,6,8,10,12,14,16", "--jobs", str(args.jobs), *out],
+        ["sweep-reuse", "--rf", "1,2,4", "--fmt", "fixed<20,10>", "--device", "vu13p", *out],
+    ]
+    for argv in steps:
+        code = cli.main(argv)
+        if code:
+            return code
     return 0
 
 

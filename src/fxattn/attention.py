@@ -3,11 +3,12 @@
 Stage 1 projects each incoming row into every head's Q/K/V rows with one
 product and pushes the per-head slices onto FIFO channels. Stage 2 preloads
 the full K block into a register file, scores one Q row at a time against
-it (the 1/sqrt(d_k) divisor is a precomputed fixed-point multiplicative
-constant, never a runtime divide) and applies the table softmax row-wise. Stage 3 buffers V into a
-dual-access register and forms the score-weighted row combinations.
-Stage 4 concatenates the per-head rows in head order and applies the
-output projection, one row in and one row out per step.
+it as ``q . k^T`` (the 1/sqrt(d_k) divisor is a precomputed fixed-point
+multiplicative constant, never a runtime divide) and applies the table
+softmax row-wise. Stage 3 buffers V into a dual-access register and forms
+the score-weighted row combinations. Stage 4 concatenates the per-head rows
+in head order and applies the output projection, one row in and one row out
+per step.
 
 Streaming is emulated functionally: stages run to completion in sequence,
 each draining the bounded channels the previous one filled. Determinism
@@ -17,7 +18,8 @@ matrices in the same evaluation order, so streaming and reference outputs
 are equal bit for bit in both float and fixed modes (the pipeline's
 defining correctness property). ``mha_forward_batch`` is the multi-sample
 fast path used by the model; in fixed mode it too is bit-exact. All three
-form Q/K/V through stage 1's joined product, over a row or a whole batch.
+form Q/K/V through stage 1's joined product, over a row or a whole batch,
+and share one score step and one output-projection step.
 
 All three paths compute with the op set of :mod:`fxattn.layers`, which is
 where float and fixed-point arithmetic part ways; nothing here tests the
@@ -124,10 +126,6 @@ class MhaWeights:
     w_o: Tensor
     b_o: Tensor
 
-    def qkv(self) -> tuple:
-        """The (weights, bias) pairs of the Q, K and V projections, in that order."""
-        return (self.w_q, self.b_q), (self.w_k, self.b_k), (self.w_v, self.b_v)
-
     def validate(self, cfg: MhaConfig) -> None:
         for name, shape in mha_shapes(cfg).items():
             got = tuple(getattr(self, name).shape)
@@ -195,11 +193,23 @@ def _qkv(cfg: MhaConfig, weights: MhaWeights, x: Tensor) -> list:
     product with every head's transposed projections side by side (the cost
     model's qkv_proj), then sliced per projection."""
     # (heads, d_model, d_k + d_k + d_v) joined, then heads side by side
-    w_t = L.concat([w.swapaxes(-1, -2) for w, _ in weights.qkv()])
+    w_t = L.concat([w.swapaxes(-1, -2) for w in (weights.w_q, weights.w_k, weights.w_v)])
     w_t = w_t.swapaxes(0, 1).reshape(cfg.d_model, -1)
-    y = L.add(L.matmul(x, w_t), L.concat([b for _, b in weights.qkv()]).reshape(-1))
+    y = L.add(L.matmul(x, w_t), L.concat([weights.b_q, weights.b_k, weights.b_v]).reshape(-1))
     edges = list(accumulate([cfg.d_k, cfg.d_k, cfg.d_v] * cfg.num_heads, initial=0))
     return [y[..., lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _scores(q: Tensor, k: Tensor, scale, softmax_cfg: SoftmaxConfig | None,
+            mask: np.ndarray | None) -> Tensor:
+    """Attention weights softmax((q . k^T) * c) of query rows q (..., d_k)
+    over key rows k (..., seq_len, d_k)."""
+    return L.softmax(L.mul(L.matmul(q, k.swapaxes(-1, -2)), scale), softmax_cfg, mask)
+
+
+def _project_out(weights: MhaWeights, merged: Tensor) -> Tensor:
+    """The output projection of concatenated head rows (..., concat_dim)."""
+    return L.add(L.matmul(merged, weights.w_o.swapaxes(-1, -2)), weights.b_o)
 
 
 def stage1_project(cfg: MhaConfig, weights: MhaWeights, in_ch: StreamChannel):
@@ -216,7 +226,7 @@ def stage1_project(cfg: MhaConfig, weights: MhaWeights, in_ch: StreamChannel):
 def stage2_scores(cfg: MhaConfig, softmax_cfg: SoftmaxConfig | None,
                   q_ch: StreamChannel, k_ch: StreamChannel,
                   scale, mask: np.ndarray | None = None) -> StreamChannel:
-    """Score rows: softmax((q . k_j) * c) with K preloaded into a register block."""
+    """Score rows: softmax((q . k^T) * c) with K preloaded into a register block."""
     if q_ch.pending != cfg.seq_len or k_ch.pending != cfg.seq_len:
         raise ValueError(
             f"stream length mismatch: q={q_ch.pending}, k={k_ch.pending}, "
@@ -226,8 +236,7 @@ def stage2_scores(cfg: MhaConfig, softmax_cfg: SoftmaxConfig | None,
     k_block = L.stack([k_ch.read() for _ in range(cfg.seq_len)])
     out = StreamChannel(cfg.seq_len, "scores")
     for _ in range(cfg.seq_len):
-        dots = L.matmul(k_block, q_ch.read())
-        out.write(L.softmax(L.mul(dots, scale), softmax_cfg, mask))
+        out.write(_scores(q_ch.read(), k_block, scale, softmax_cfg, mask))
     return out
 
 
@@ -257,11 +266,9 @@ def stage4_concat_project(cfg: MhaConfig, weights: MhaWeights,
             raise ValueError(
                 f"{ch.name}: {ch.pending} rows pending, expected {cfg.seq_len}"
             )
-    w_o_t = weights.w_o.swapaxes(-1, -2)
     out = StreamChannel(cfg.seq_len, "mha_out")
     for _ in range(cfg.seq_len):
-        merged = L.concat([ch.read() for ch in head_chs])
-        out.write(L.add(L.matmul(merged, w_o_t), weights.b_o))
+        out.write(_project_out(weights, L.concat([ch.read() for ch in head_chs])))
     return out
 
 
@@ -304,12 +311,9 @@ def run_mha_reference(cfg: MhaConfig, weights: MhaWeights,
     for h in range(cfg.num_heads):
         # stacked from the row slices, so contiguous like the streaming stages' blocks
         q, k, v = (L.stack([parts[3 * h + i] for parts in projected]) for i in range(3))
-        probs = [L.softmax(L.mul(L.matmul(k, q[t]), scale), softmax_cfg, mask)
-                 for t in range(cfg.seq_len)]
+        probs = [_scores(q[t], k, scale, softmax_cfg, mask) for t in range(cfg.seq_len)]
         head_blocks.append(L.stack([L.matmul(p, v) for p in probs]))
-    w_o_t = weights.w_o.swapaxes(-1, -2)
-    return L.stack([L.add(L.matmul(L.concat([blk[t] for blk in head_blocks]), w_o_t),
-                          weights.b_o)
+    return L.stack([_project_out(weights, L.concat([blk[t] for blk in head_blocks]))
                     for t in range(cfg.seq_len)])
 
 
@@ -332,9 +336,5 @@ def mha_forward_batch(cfg: MhaConfig, weights: MhaWeights,
     heads = []
     for h in range(cfg.num_heads):
         q, k, v = qkv[3 * h:3 * h + 3]
-        dots = L.matmul(q, k.swapaxes(-1, -2))
-        scores = L.mul(dots, scale)
-        probs = L.softmax(scores, softmax_cfg, mask)
-        heads.append(L.matmul(probs, v))
-    merged = L.concat(heads)
-    return L.add(L.matmul(merged, weights.w_o.swapaxes(-1, -2)), weights.b_o)
+        heads.append(L.matmul(_scores(q, k, scale, softmax_cfg, mask), v))
+    return _project_out(weights, L.concat(heads))

@@ -115,7 +115,7 @@ def _layers(cfg: ModelConfig, width_bits: int) -> list[tuple[str, int, int]]:
     """
     m = cfg.encoder.mha
     s, h = m.seq_len, m.num_heads
-    ff0, ff1 = cfg.encoder.ff_dims
+    ff = cfg.encoder.ff_hidden
     tables = 2 * cfg.softmax_table_size * width_bits
     out = []
     for i in range(cfg.num_encoder_blocks):
@@ -125,8 +125,8 @@ def _layers(cfg: ModelConfig, width_bits: int) -> list[tuple[str, int, int]]:
             (f"block{i}.mha.scores", h * m.d_k * s, s * h * s * width_bits + h * tables),
             (f"block{i}.mha.apply", h * s * m.d_v, s * h * m.d_v * width_bits),
             (f"block{i}.mha.out_proj", h * m.d_v * m.d_model, s * m.d_model * width_bits),
-            (f"block{i}.ff1", m.d_model * ff0, 0),
-            (f"block{i}.ff2", ff0 * ff1, 0),
+            (f"block{i}.ff1", m.d_model * ff, 0),
+            (f"block{i}.ff2", ff * m.d_model, 0),
         ]
     width = cfg.flatten_dim
     for j, hdim in enumerate(cfg.head_dims, start=1):

@@ -35,8 +35,10 @@ looking at the data. Only products in formats too wide for that bound
 (up to 60 bits) scan their operands, once, to pick float64 or int64.
 A format's width and bounds are computed once, and every kernel reuses them.
 
-:func:`overflow_watch` counts overflow events while it is open; the
-precision sweep uses it to prove sweep points identical without running them.
+:func:`overflow_watch` counts overflow events while it is open, at two
+sites: the input check of :func:`quantize_array` and the overflow step that
+every kernel and :func:`saturate` end in. The precision sweep uses it to
+prove sweep points identical without running them.
 """
 from __future__ import annotations
 
@@ -208,16 +210,16 @@ def _shift_round_array(p: np.ndarray, shift: int, rounding: Rounding) -> np.ndar
 
 @dataclass
 class OverflowWatch:
-    """Overflow events counted while :func:`overflow_watch` is open: calls
-    that saturated or wrapped a value (:func:`saturate` included) and
-    :func:`quantize_array` calls with an input outside
-    ``[-2**(int_bits - 1), 2**(int_bits - 1))``, infinities included. A pass
-    that counts none computes the same raws at any wider int width, provided
-    it computes them all itself: a quantization or table cached from an
-    earlier pass would carry no count. Events are counted per call, and a
-    chunked batch pass (:func:`fxattn.model.forward_batch`) makes each call
-    once per chunk, so the count grows with the number of chunks: only zero
-    against nonzero carries the proof."""
+    """Overflow events counted while :func:`overflow_watch` is open, at two
+    sites: overflow steps that saturated or wrapped a value (every kernel's
+    and :func:`saturate`'s), and :func:`quantize_array` calls with an input
+    outside ``[-2**(int_bits - 1), 2**(int_bits - 1))``, infinities
+    included. A pass that counts none computes the same raws at any wider
+    int width, provided it computes them all itself: a quantization or table
+    cached from an earlier pass would carry no count. Events are counted per
+    call, and a chunked batch pass (:func:`fxattn.model.forward_batch`) makes
+    each call once per chunk, so the count grows with the number of chunks:
+    only zero against nonzero carries the proof."""
 
     events: int = 0
 
@@ -238,26 +240,22 @@ def overflow_watch():
         _watch = outer
 
 
-def _outside(v: np.ndarray, fmt: FxFormat) -> bool:
-    return v.size > 0 and (v.min() < fmt.raw_min or v.max() > fmt.raw_max)
-
-
 def saturate(v: np.ndarray, fmt: FxFormat) -> None:
     """Clamp the raws ``v`` into ``fmt``'s range in place, in every overflow
     mode; a clamp that changes a value is an overflow event."""
-    if _watch is not None and _outside(v, fmt):
-        _watch.events += 1
-    v.clip(*fmt.bounds, out=v)
+    _handle_overflow_array(v, fmt, Overflow.SATURATE)
 
 
-def _handle_overflow_array(v: np.ndarray, fmt: FxFormat) -> np.ndarray:
-    """Saturate or wrap ``v`` into ``fmt``'s range, in place: ``v`` is consumed."""
+def _handle_overflow_array(v: np.ndarray, fmt: FxFormat,
+                           overflow: Overflow | None = None) -> np.ndarray:
+    """Saturate or wrap ``v`` into ``fmt``'s range, in place: ``v`` is consumed.
+    ``overflow``, if given, overrides the format's mode."""
     # a ufunc hands back a 0-d result as a scalar, and a bare int must stay
     # a Python int above 60 bits
     v = np.asarray(v, dtype=object if fmt.total_bits > 60 else None)
-    if _watch is not None and _outside(v, fmt):
+    if _watch is not None and v.size and (v.min() < fmt.raw_min or v.max() > fmt.raw_max):
         _watch.events += 1
-    if fmt.overflow is Overflow.SATURATE:
+    if (overflow or fmt.overflow) is Overflow.SATURATE:
         v.clip(*fmt.bounds, out=v)
     else:
         half = 1 << (fmt.total_bits - 1)
@@ -325,18 +323,31 @@ def fx_add_array(a: FxArray, b: FxArray) -> FxArray:
     return FxArray(_handle_overflow_array(ar + br, fmt), fmt)
 
 
-def fx_mul_array(a: FxArray, b: FxArray) -> FxArray:
-    """Elementwise product with broadcasting: one rounding shift, then overflow."""
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if b.dtype != np.float64:  # int64 or object tier
+        return a @ b
+    a = a.astype(np.float64)
+    # one gemm over many rows would start BLAS threads, which contend with the
+    # worker processes of a sweep; a stack of row products stays on this thread
+    return (a[:, None, :] @ b)[:, 0] if a.ndim == 2 else a @ b
+
+
+def _exact_product(a: FxArray, b: FxArray, k: int, op) -> FxArray:
+    """``op(a, b)``, each element a sum of ``k`` exact products, rounded once
+    in the tier :func:`_product_dtype` picks, then overflow-handled."""
     fmt = _check_fmt(a, b)
     ar, br = a.raw, b.raw
-    dtype = _product_dtype(ar, br, fmt, 1)
+    dtype = _product_dtype(ar, br, fmt, k)
     if dtype is np.float64:
-        if ar.size < br.size:  # scale the smaller operand
-            ar, br = br, ar
-        return FxArray(_round_scaled(ar * _scaled(br, fmt), fmt), fmt)
+        return FxArray(_round_scaled(op(ar, _scaled(br, fmt)), fmt), fmt)
     if dtype is object:
         ar, br = _as_object(ar), _as_object(br)
-    return FxArray(_round_products(ar * br, fmt), fmt)
+    return FxArray(_round_products(op(ar, br), fmt), fmt)
+
+
+def fx_mul_array(a: FxArray, b: FxArray) -> FxArray:
+    """Elementwise product with broadcasting: one rounding shift, then overflow."""
+    return _exact_product(a, b, 1, np.multiply)
 
 
 def fx_matmul(a: FxArray, b: FxArray) -> FxArray:
@@ -347,22 +358,7 @@ def fx_matmul(a: FxArray, b: FxArray) -> FxArray:
     frac_bits with the format's rounding, then overflow-handled. This is
     the dot-product kernel every matrix-vector product in the model uses.
     """
-    fmt = _check_fmt(a, b)
-    ar, br = a.raw, b.raw
-    dtype = _product_dtype(ar, br, fmt, ar.shape[-1])
-    if dtype is np.float64:
-        af, bf = ar.astype(np.float64), _scaled(br, fmt)
-        if af.ndim == 2:
-            # one gemm over many rows would start BLAS threads, which contend
-            # with the worker processes of a sweep; a stack of row products
-            # runs each product on the calling thread
-            acc = (af[:, None, :] @ bf)[:, 0]
-        else:
-            acc = af @ bf
-        return FxArray(_round_scaled(acc, fmt), fmt)
-    if dtype is object:
-        ar, br = _as_object(ar), _as_object(br)
-    return FxArray(_round_products(ar @ br, fmt), fmt)
+    return _exact_product(a, b, a.shape[-1], _matmul)
 
 
 def fx_sum(a: FxArray, axis: int = -1) -> FxArray:

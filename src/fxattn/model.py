@@ -4,10 +4,10 @@ The network mirrors the flavor-tagging benchmark: identical encoder blocks
 (two-head attention plus a two-layer feed-forward, residual adds, no layer
 norm), a flatten, three ReLU head layers and a softmax output. The configs
 hold only independent settings: the sequence length and the feature count
-are the attention's, and every block adds both residuals. One shared
-fixed-point format covers the whole model per run; weights are quantized
-once per pass, activations at every layer boundary. A batch pass runs its
-jets in cache-sized chunks.
+are the attention's, every block adds both residuals, and the feed-forward
+maps d_model back to d_model. One shared fixed-point format covers the
+whole model per run; weights are quantized once per pass, activations at
+every layer boundary. A batch pass runs its jets in cache-sized chunks.
 
 Weight files are self-describing JSON: a ``config`` header plus a
 ``tensors`` map of named nested decimal arrays stored at 9 significant
@@ -48,17 +48,14 @@ class WeightFormatError(ValueError):
 
 @dataclass(frozen=True)
 class EncoderBlockConfig:
+    """Attention, then a feed-forward d_model -> ff_hidden -> d_model."""
+
     mha: MhaConfig
-    ff_dims: tuple[int, int] = (8, 6)
+    ff_hidden: int = 8
 
     def __post_init__(self) -> None:
-        if len(self.ff_dims) != 2 or min(self.ff_dims) < 1:
-            raise ValueError(f"ff_dims must be two positive dims, got {self.ff_dims}")
-        if self.ff_dims[1] != self.mha.d_model:
-            raise ValueError(
-                f"residual feed-forward needs ff_dims[1] == d_model "
-                f"({self.ff_dims[1]} != {self.mha.d_model})"
-            )
+        if self.ff_hidden < 1:
+            raise ValueError(f"ff_hidden must be positive, got {self.ff_hidden}")
 
 
 @dataclass(frozen=True)
@@ -85,17 +82,13 @@ class ModelConfig:
         return self.encoder.mha.seq_len
 
     @property
-    def d_model(self) -> int:
-        return self.encoder.mha.d_model
-
-    @property
     def num_features(self) -> int:
         """Tracks feed the encoder directly, so this is d_model."""
         return self.encoder.mha.d_model
 
     @property
     def flatten_dim(self) -> int:
-        return self.seq_len * self.d_model
+        return self.seq_len * self.num_features
 
 
 @dataclass
@@ -129,7 +122,7 @@ def _tensor_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     the random stream exactly as one (heads, ...) draw does.
     """
     m = cfg.encoder.mha
-    ff0, ff1 = cfg.encoder.ff_dims
+    ff = cfg.encoder.ff_hidden
     specs: list[tuple[str, tuple[int, ...]]] = []
 
     def dense(name, out, inp):
@@ -142,8 +135,8 @@ def _tensor_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
             else:
                 specs += [(f"block{i}.mha.{name}.head{h}", shape[1:])
                           for h in range(m.num_heads)]
-        dense(f"block{i}.ff1", ff0, m.d_model)
-        dense(f"block{i}.ff2", ff1, ff0)
+        dense(f"block{i}.ff1", ff, m.d_model)
+        dense(f"block{i}.ff2", m.d_model, ff)
     dims = (cfg.flatten_dim, *cfg.head_dims, cfg.num_classes)
     names = [f"head{j}" for j in range(1, len(cfg.head_dims) + 1)] + ["output"]
     for name, inp, out in zip(names, dims, dims[1:]):
@@ -240,7 +233,7 @@ def make_analytic_weights(cfg: ModelConfig, feature_index: int = 2) -> ModelWeig
 
     first = w.head[0]
     for t in range(cfg.seq_len):
-        first.weights[0, t * cfg.d_model + accum] = 1.0 / cfg.seq_len
+        first.weights[0, t * cfg.num_features + accum] = 1.0 / cfg.seq_len
     first.bias[0] = ANALYTIC_HEAD_BIAS
     for layer in w.head[1:]:
         layer.weights[0, 0] = 1.0
@@ -340,7 +333,7 @@ def _config_to_dict(cfg: ModelConfig) -> dict:
         "d_v": m.d_v,
         "seq_len": cfg.seq_len,
         "num_features": cfg.num_features,
-        "ff_dims": list(cfg.encoder.ff_dims),
+        "ff_dims": [cfg.encoder.ff_hidden, m.d_model],
         "residual_mha": True,
         "residual_ff": True,
         "layer_norm": False,
@@ -385,7 +378,11 @@ def _config_from_dict(d) -> ModelConfig:
         for name in ("residual_mha", "residual_ff"):
             if not _header(d, name, (bool,)):
                 raise WeightFormatError(f"config field '{name}': every block adds its residual")
-        encoder = EncoderBlockConfig(mha=mha, ff_dims=_header_ints(d, "ff_dims"))
+        ff_dims = _header_ints(d, "ff_dims")
+        if len(ff_dims) != 2 or ff_dims[0] < 1 or ff_dims[1] != mha.d_model:
+            raise WeightFormatError(f"config field 'ff_dims' must be [hidden >= 1, d_model "
+                                    f"{mha.d_model}], found {list(ff_dims)}")
+        encoder = EncoderBlockConfig(mha=mha, ff_hidden=ff_dims[0])
         return ModelConfig(
             num_encoder_blocks=_header(d, "num_encoder_blocks"), encoder=encoder,
             head_dims=_header_ints(d, "head_dims"), num_classes=_header(d, "num_classes"),

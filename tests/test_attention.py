@@ -1,11 +1,13 @@
 """Streaming pipeline vs whole-matrix reference, stage by stage and end to end."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from fxattn import attention as att
 from fxattn import fxp
+from fxattn import layers as L
 from fxattn import softmax as sm
 from fxattn.attention import ChannelError, MhaConfig, StreamChannel
 from fxattn.fxp import FxFormat, FxArray, Overflow
@@ -151,7 +153,7 @@ def test_stage1_one_product_per_row(monkeypatch):
     monkeypatch.setattr(fxp, "fx_matmul", lambda a, b: calls.append(1) or matmul(a, b))
     chs = att.stage1_project(cfg, w, fill_channel(rows_of(x)))
     assert len(calls) == cfg.seq_len
-    for (wt, bt), proj_chs in zip(w.qkv(), chs):
+    for (wt, bt), proj_chs in zip([(w.w_q, w.b_q), (w.w_k, w.b_k), (w.w_v, w.b_v)], chs):
         for h, ch in enumerate(proj_chs):
             products = oracle_matmul(x.raw, wt.raw[h].T, fmt)
             for t in range(cfg.seq_len):
@@ -178,6 +180,28 @@ def test_batch_one_qkv_product(monkeypatch):
     monkeypatch.undo()
     for i in range(3):
         assert np.array_equal(batch.raw[i], att.run_mha_reference(cfg, w, scfg, xs[i]).raw)
+
+
+@pytest.mark.parametrize("path", ["run_mha_streaming", "run_mha_reference"])
+def test_per_jet_paths_kernel_calls(monkeypatch, path):
+    # 15 rows through stages 1 and 4 (a product and a bias add each), 2 heads
+    # x 15 rows through stage 2 (product, scale, table softmax) and stage 3
+    cfg = ModelConfig().encoder.mha
+    fmt = FxFormat(10, 10)
+    rng = np.random.default_rng(21)
+    w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
+    x = fxp.quantize_array(rng.normal(size=(cfg.seq_len, cfg.d_model)), fmt)
+    scfg = make_softmax(fmt, cfg.seq_len)
+    calls = []
+    homes = {"fx_matmul": fxp, "fx_mul_array": fxp, "fx_add_array": fxp, "fx_sum": fxp,
+             "softmax_lut": L}
+    for name, mod in homes.items():
+        kernel = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, name=name, kernel=kernel, **kw:
+                            calls.append(name) or kernel(*a, **kw))
+    getattr(att, path)(cfg, w, scfg, x)
+    assert Counter(calls) == {"fx_matmul": 90, "fx_mul_array": 60, "fx_add_array": 30,
+                              "fx_sum": 30, "softmax_lut": 30}
 
 
 def test_stage2_zero_qk_uniform_scores():

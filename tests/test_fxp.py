@@ -401,6 +401,31 @@ def test_mul_array_at_the_float64_edge(total, tier, overflow, rounding):
     assert fxp.fx_mul_array(scalar, FxArray(a, fmt)).raw.tolist() == want_b
 
 
+@pytest.mark.parametrize("spec,top,tier", [
+    ("fixed<20,10>", None, np.float64),     # proven from the format alone
+    ("fixed<40,20>", 2 ** 30, np.int64),    # a scan bounds the products below 2**62
+    ("fixed<40,20>", None, object),         # full-range raws reach 2**78
+    ("fixed<64,32>", None, object),         # above 60 bits, no scan
+])
+def test_mul_array_commutes_bit_for_bit(spec, top, tier):
+    # the larger operand first, then second: no tier scales one side specially
+    for overflow, rounding in MODES:
+        fmt = fxp.parse_format(spec, overflow=overflow, rounding=rounding)
+        lo, hi = (fmt.raw_min, fmt.raw_max) if top is None else (-top, top)
+        rng = np.random.default_rng(fmt.total_bits)
+        big = [int(rng.integers(lo, hi, endpoint=True)) for _ in range(4 * 16)]
+        small = [int(rng.integers(lo, hi, endpoint=True)) for _ in range(4)]
+        big[:2], small[:2] = [lo, hi], [lo, hi]
+        dtype = object if fmt.total_bits > 60 else np.int64
+        a = FxArray(np.array(big, dtype=dtype).reshape(4, 16), fmt)
+        b = FxArray(np.array(small, dtype=dtype).reshape(4, 1), fmt)
+        assert fxp._product_dtype(a.raw, b.raw, fmt, 1) is tier
+        ab, ba = fxp.fx_mul_array(a, b), fxp.fx_mul_array(b, a)
+        assert ab.raw.dtype == ba.raw.dtype and ab.raw.tolist() == ba.raw.tolist()
+        assert ab.raw.tolist() == [[oracle_mul(x, y[0], fmt) for x in row]
+                                   for row, y in zip(a.raw.tolist(), b.raw.tolist())]
+
+
 @pytest.mark.parametrize("overflow,rounding", MODES)
 @pytest.mark.parametrize("limit,below,at", [(53, np.float64, np.int64),
                                             (62, np.int64, object)])

@@ -45,10 +45,16 @@ def test_config_rejects_nonpositive_head_dims(head_dims):
         ModelConfig(head_dims=head_dims)
 
 
-def test_config_residual_dim_check():
-    mha = att.MhaConfig(d_model=6, num_heads=2, seq_len=15)
-    with pytest.raises(ValueError, match="ff_dims"):
-        model.EncoderBlockConfig(mha=mha, ff_dims=(8, 5))
+def test_config_residual_dim_check(tmp_path):
+    # the feed-forward's output is added to its input, so only its hidden
+    # width is a setting; a header must pair it with d_model
+    path, doc = saved_doc(tmp_path)
+    assert doc["config"]["ff_dims"] == [8, 6]
+    for ff_dims in ([8, 5], [8], [8, 6, 6], [0, 6]):
+        doc["config"]["ff_dims"] = ff_dims
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WeightFormatError, match="'ff_dims'"):
+            model.load_weights(path)
 
 
 # ---------------------------------------------------------------------------
