@@ -53,6 +53,13 @@ def parse_int_list(text: str) -> list[int]:
     return out
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _fixed_format(text: str) -> fxp.FxFormat:
     try:
         return fxp.parse_format(text)
@@ -98,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="LIST", help=f"e.g. 6,8,10 or 6-10 (default {DEFAULT_INT_BITS})")
     sp.add_argument("--frac-bits", type=parse_int_list, default=DEFAULT_FRAC_BITS,
                     metavar="LIST", help=f"default {DEFAULT_FRAC_BITS}")
-    sp.add_argument("--jobs", type=int, default=1, metavar="N",
+    sp.add_argument("--jobs", type=positive_int, default=1, metavar="N",
                     help="parallel worker processes")
     add_out(sp)
 

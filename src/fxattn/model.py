@@ -31,7 +31,7 @@ from fxattn.attention import MhaConfig, MhaWeights, mha_forward_batch, mha_shape
     quantize_mha_weights, random_tensor
 from fxattn.fxp import FxFormat
 from fxattn.layers import Activation, DenseLayer
-from fxattn.softmax import make_softmax_config
+from fxattn.softmax import check_table, make_softmax_config
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +76,10 @@ class ModelConfig:
             raise ValueError("need at least two classes")
         if min(self.head_dims, default=1) < 1:
             raise ValueError(f"head_dims must be positive, got {self.head_dims}")
+        try:  # both softmax tables have this size; the exp table spans [exp_lo, 0)
+            check_table(self.softmax_table_size, self.softmax_exp_lo, 0.0)
+        except ValueError as exc:
+            raise ValueError(f"'softmax_table_size' or 'softmax_exp_lo': {exc}") from None
 
     @property
     def seq_len(self) -> int:

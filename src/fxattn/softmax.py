@@ -74,12 +74,18 @@ class LutTable:
         return self.entries_raw[self.index_of(raw)]
 
 
+def check_table(size: int, lo: float, hi: float) -> None:
+    """Raise ValueError unless a table of ``size`` bins over [lo, hi) can be
+    built: the size a power of two >= 1, the range finite with lo < hi."""
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"table size must be a power of two >= 1, got {size}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"table range [{lo}, {hi}) must be finite with lo < hi")
+
+
 def _build_table(f: Callable[[np.ndarray], np.ndarray], size: int,
                  lo: float, hi: float, fmt: FxFormat) -> LutTable:
-    if size < 1 or (size & (size - 1)) != 0:
-        raise ValueError(f"table size must be a power of two, got {size}")
-    if not lo < hi:
-        raise ValueError(f"invalid table range [{lo}, {hi})")
+    check_table(size, lo, hi)
     edges = lo + np.arange(size, dtype=np.float64) * (hi - lo) / size
     entries = fxp.quantize_array(f(edges), fmt)
     return LutTable(lo=lo, hi=hi, entries_raw=np.asarray(entries.raw), fmt=fmt)

@@ -11,13 +11,14 @@ counts no overflow event proves every wider int width in its column: table
 bins, table entries and rounding depend on F alone, every kernel is exact,
 and every intermediate already fits I bits, so a wider format computes the
 same raws bit for bit. Those points reuse the proven pass's AUCs instead of
-running. With jobs > 1 the columns run in a process pool that receives the
-inputs once per worker; rows merge back in the caller's grid order, so
-output bytes never depend on scheduling.
+running. Each column is one task that carries the sweep's inputs, run in
+the caller or, with jobs > 1, in a process pool; rows merge back in the
+caller's grid order, so output bytes never depend on scheduling.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -60,25 +61,17 @@ def _macro_aucs(probs: np.ndarray, labels: np.ndarray) -> tuple[dict, float]:
     return per_class, float(np.mean(list(per_class.values())))
 
 
-# (cfg, weights, x, labels, float macro AUC) of the running precision sweep,
-# held once per process by _hold_inputs, so one sweep runs at a time per process
-_inputs: tuple | None = None
-
-
-def _hold_inputs(inputs: tuple | None) -> None:
-    global _inputs
-    _inputs = inputs
-
-
-def _precision_point(fmt: FxFormat, proof: tuple | None) -> tuple[tuple, tuple | None]:
+def _precision_point(inputs: tuple, fmt: FxFormat,
+                     proof: tuple | None) -> tuple[tuple, tuple | None]:
     """(CSV row, proof) at one grid point.
 
+    ``inputs`` is the sweep's (cfg, weights, x, labels, float macro AUC).
     ``proof`` holds the AUCs of a narrower pass in ``fmt``'s frac column that
     counted no overflow event, and the row reuses them; without one, the
     point runs under the watch and becomes the proof if it counts none.
     """
     if proof is None:
-        cfg, weights, x, labels, macro_float = _inputs
+        cfg, weights, x, labels, macro_float = inputs
         with fxp.overflow_watch() as watch:
             probs = forward_batch(cfg, weights, x, fmt=fmt)
         per_class, macro = _macro_aucs(probs, labels)
@@ -89,18 +82,20 @@ def _precision_point(fmt: FxFormat, proof: tuple | None) -> tuple[tuple, tuple |
     return (fmt.int_bits, fmt.frac_bits, *aucs), proof
 
 
-def _column(fmts: tuple[FxFormat, ...]) -> tuple[list[tuple], int]:
+def _column(inputs: tuple, fmts: tuple[FxFormat, ...]) -> tuple[list[tuple], int]:
     """Rows of one frac column, int widths ascending, and how many passes ran."""
     rows, proof, ran = [], None, 0
     for fmt in fmts:
         ran += proof is None
-        row, proof = _precision_point(fmt, proof)
+        row, proof = _precision_point(inputs, fmt, proof)
         rows.append(row)
     return rows, ran
 
 
 def sweep_precision(cfg: ModelConfig, weights: ModelWeights, dataset: Dataset,
                     int_bits_list, frac_bits_list, jobs: int = 1) -> SweepResult:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     # every point is a format, valid or not, before any pass runs
     fmts = {(ib, fb): FxFormat(ib, fb) for ib in int_bits_list for fb in frac_bits_list}
     counts = dataset.class_counts()
@@ -111,23 +106,18 @@ def sweep_precision(cfg: ModelConfig, weights: ModelWeights, dataset: Dataset,
     # The float pass runs here, before the pool, and not as one more pool task
     # with the ratio taken at the merge: on 600 jets with jobs=2 (2-vCPU VM, 4
     # alternations of 12 sweeps) that read 0.34-0.38 s per sweep against
-    # 0.30-0.33 s, and 0.33-0.36 s against 0.27-0.35 s when each task was
-    # also passed the inputs instead of getting them through _hold_inputs.
+    # 0.30-0.33 s, and 0.33-0.36 s against 0.27-0.35 s with each task
+    # passed the inputs, as the column tasks are.
     _, macro_float = _macro_aucs(forward_batch(cfg, weights, x), labels)
 
-    inputs = (cfg, weights, x, labels, macro_float)
+    run_column = functools.partial(_column, (cfg, weights, x, labels, macro_float))
     columns = [tuple(fmts[ib, fb] for ib in sorted(set(int_bits_list)))
                for fb in dict.fromkeys(frac_bits_list)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_hold_inputs,
-                                 initargs=(inputs,)) as pool:
-            done = list(pool.map(_column, columns))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(run_column, columns))
     else:
-        _hold_inputs(inputs)
-        try:
-            done = [_column(c) for c in columns]
-        finally:
-            _hold_inputs(None)
+        done = list(map(run_column, columns))
     ran = sum(n for _, n in done)
     log.info("precision sweep: %d of %d points ran, %d reused a narrower pass "
              "that counted no overflow", ran, len(fmts), len(fmts) - ran)

@@ -29,6 +29,14 @@ def test_bad_format_string_exits_2(run_cli):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_precision_jobs_below_1_exits_2(run_cli, jobs):
+    out = run_cli("sweep-precision", "--weights", "w.json", "--data", "d.csv",
+                  f"--jobs={jobs}")
+    assert out.returncode == 2
+    assert f"argument --jobs: must be at least 1, got {jobs}" in out.stderr
+
+
 def test_gen_data_reproducible(tmp_path, run_cli):
     a = run_cli("gen-data", "--n", "50", "--seed", "7", "--out", str(tmp_path / "a"))
     b = run_cli("gen-data", "--n", "50", "--seed", "7", "--out", str(tmp_path / "b"))
@@ -77,6 +85,8 @@ def test_infer_malformed_header_is_diagnosed(tmp_path, run_cli):
 
 @pytest.mark.parametrize("field, value", [
     ("residual_mha", False), ("residual_ff", False), ("num_features", 5),
+    ("softmax_table_size", 3), ("softmax_table_size", 0),
+    ("softmax_exp_lo", 2.0), ("softmax_exp_lo", float("-inf")),
 ])
 def test_infer_header_the_network_cannot_take_exits_1(tmp_path, run_cli, field, value):
     import json

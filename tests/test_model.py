@@ -447,13 +447,17 @@ def test_mistyped_header_field_named(tmp_path, field, value):
 
 @pytest.mark.parametrize("field, value", [
     ("residual_mha", False), ("residual_ff", False), ("num_features", 5),
+    ("softmax_table_size", 3), ("softmax_table_size", 0),
+    ("softmax_exp_lo", 2.0), ("softmax_exp_lo", float("-inf")),
 ])
 def test_header_the_network_cannot_take_named(tmp_path, field, value):
     # every block adds both residuals and tracks feed the encoder directly;
-    # the header states both, and a file that says otherwise is refused
+    # the header states both, and a file that says otherwise is refused, as
+    # is a softmax table no pass could build
     path, doc = saved_doc(tmp_path)
     assert doc["config"][field] == {"residual_mha": True, "residual_ff": True,
-                                    "num_features": 6}[field]
+                                    "num_features": 6, "softmax_table_size": 1024,
+                                    "softmax_exp_lo": -8.0}[field]
     doc["config"][field] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(WeightFormatError, match=f"'{field}'"):

@@ -1,10 +1,17 @@
-"""Every function in src/fxattn runs under a CLI command or a benchmark entry point.
+"""Every function in src/fxattn runs under a CLI command or a benchmark entry
+point, and no function rebinds module state but the overflow watch.
 
 A function that only tests call is a second implementation to keep in step
 with the first; this guard fails as soon as one appears. It runs each CLI
 subcommand in-process on tiny inputs, then the entry points the benchmark
 harness calls directly, and records every Python call with sys.setprofile.
+
+A module variable that code rebinds is shared by every caller in the
+process, so two callers (a sweep inside a sweep, one test after another)
+see each other's state. The second guard fails on any ``global`` statement
+but the overflow watch's hook.
 """
+import ast
 import inspect
 import json
 import sys
@@ -106,3 +113,23 @@ def test_every_src_function_is_reached(tmp_path):
         f"reached now, drop from EXEMPT: {sorted(set(EXEMPT) - set(unreached))}"
     missing = [q for q in unreached if q not in EXEMPT]
     assert not missing, f"defined in src/fxattn but never reached: {missing}"
+
+
+def global_statements() -> list[str]:
+    """"module.qualname: global names" of every global statement in src/fxattn."""
+    found = []
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Global):
+                found.append(f"{where}: global {', '.join(child.names)}")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}" if named else where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_no_global_but_the_overflow_watch():
+    assert global_statements() == ["fxp.overflow_watch: global _watch"]

@@ -43,6 +43,32 @@ def test_precision_sweep_parallel_matches_serial(setup):
     assert serial == parallel
 
 
+def test_precision_sweep_is_reentrant(setup, monkeypatch):
+    # a sweep started inside another sweep's pass leaves the outer one whole
+    cfg, w, ds = setup
+    want = sweeps.sweep_precision(cfg, w, ds, [8, 10], [4, 8])
+    other = data.generate_synthetic(300, seed=78)
+    real, inner = sweeps.forward_batch, {}
+
+    def forward_batch(cfg, weights, x, fmt=None):
+        if fmt is not None and not inner:
+            inner["started"] = True  # set first, so the inner sweep's passes run unhooked
+            inner["rows"] = sweeps.sweep_precision(cfg, weights, other, [10], [6]).rows
+        return real(cfg, weights, x, fmt=fmt)
+
+    monkeypatch.setattr(sweeps, "forward_batch", forward_batch)
+    assert sweeps.sweep_precision(cfg, w, ds, [8, 10], [4, 8]) == want
+    assert len(inner["rows"]) == 1
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_precision_sweep_refuses_jobs_below_1(setup, monkeypatch, jobs):
+    cfg, w, ds = setup
+    monkeypatch.setattr(sweeps, "forward_batch", lambda *a, **k: pytest.fail("a pass ran"))
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        sweeps.sweep_precision(cfg, w, ds, [10], [4], jobs=jobs)
+
+
 def brute_force(cfg, w, ds, int_bits_list, frac_bits_list) -> list[tuple]:
     """The precision sweep's rows, every grid point run through forward_batch."""
     x, labels = ds.feature_tensor(), ds.labels()
