@@ -11,10 +11,11 @@ in head order and applies the output projection, one row in and one row out
 per step.
 
 Streaming is emulated functionally: stages run to completion in sequence,
-each draining the bounded channels the previous one filled. Determinism
-and bit-exactness are the point; simulated timing lives in the cost model.
-``run_mha_reference`` performs the identical arithmetic over whole
-matrices in the same evaluation order, so streaming and reference outputs
+each draining the bounded channels the previous one filled, and each first
+checks that every input channel holds one row per token. Determinism and
+bit-exactness are the point; simulated timing lives in the cost model.
+``run_mha_reference`` runs the stages' helpers one row at a time in the
+same evaluation order, without channels, so streaming and reference outputs
 are equal bit for bit in both float and fixed modes (the pipeline's
 defining correctness property). ``mha_forward_batch`` is the multi-sample
 fast path used by the model; in fixed mode it too is bit-exact. All three
@@ -212,10 +213,16 @@ def _project_out(weights: MhaWeights, merged: Tensor) -> Tensor:
     return L.add(L.matmul(merged, weights.w_o.swapaxes(-1, -2)), weights.b_o)
 
 
+def _expect_rows(cfg: MhaConfig, *chs: StreamChannel) -> None:
+    """Every stage's entry rule: each input FIFO holds one row per token."""
+    for ch in chs:
+        if ch.pending != cfg.seq_len:
+            raise ValueError(f"{ch.name}: {ch.pending} rows pending, expected {cfg.seq_len}")
+
+
 def stage1_project(cfg: MhaConfig, weights: MhaWeights, in_ch: StreamChannel):
     """Project seq_len input rows into per-head Q/K/V streams, in input order."""
-    if in_ch.pending != cfg.seq_len:
-        raise ValueError(f"expected {cfg.seq_len} input rows, found {in_ch.pending}")
+    _expect_rows(cfg, in_ch)
     chs = [StreamChannel(cfg.seq_len, f"{n}[{h}]") for h in range(cfg.num_heads) for n in "qkv"]
     for _ in range(cfg.seq_len):
         for ch, part in zip(chs, _qkv(cfg, weights, in_ch.read())):
@@ -227,11 +234,7 @@ def stage2_scores(cfg: MhaConfig, softmax_cfg: SoftmaxConfig | None,
                   q_ch: StreamChannel, k_ch: StreamChannel,
                   scale, mask: np.ndarray | None = None) -> StreamChannel:
     """Score rows: softmax((q . k^T) * c) with K preloaded into a register block."""
-    if q_ch.pending != cfg.seq_len or k_ch.pending != cfg.seq_len:
-        raise ValueError(
-            f"stream length mismatch: q={q_ch.pending}, k={k_ch.pending}, "
-            f"expected {cfg.seq_len}"
-        )
+    _expect_rows(cfg, q_ch, k_ch)
     # the whole K matrix is registered before any scoring starts
     k_block = L.stack([k_ch.read() for _ in range(cfg.seq_len)])
     out = StreamChannel(cfg.seq_len, "scores")
@@ -243,11 +246,7 @@ def stage2_scores(cfg: MhaConfig, softmax_cfg: SoftmaxConfig | None,
 def stage3_apply(cfg: MhaConfig, score_ch: StreamChannel,
                  v_ch: StreamChannel) -> StreamChannel:
     """out_t = sum_j score[t, j] * v_j with V buffered for dual (row/column) access."""
-    if score_ch.pending != cfg.seq_len or v_ch.pending != cfg.seq_len:
-        raise ValueError(
-            f"stream length mismatch: scores={score_ch.pending}, v={v_ch.pending}, "
-            f"expected {cfg.seq_len}"
-        )
+    _expect_rows(cfg, score_ch, v_ch)
     v_block = L.stack([v_ch.read() for _ in range(cfg.seq_len)])
     out = StreamChannel(cfg.seq_len, "head_out")
     for _ in range(cfg.seq_len):
@@ -261,11 +260,7 @@ def stage4_concat_project(cfg: MhaConfig, weights: MhaWeights,
     """Concatenate head rows in head order and project; one row at a time."""
     if len(head_chs) != cfg.num_heads:
         raise ValueError(f"expected {cfg.num_heads} head streams, got {len(head_chs)}")
-    for ch in head_chs:
-        if ch.pending != cfg.seq_len:
-            raise ValueError(
-                f"{ch.name}: {ch.pending} rows pending, expected {cfg.seq_len}"
-            )
+    _expect_rows(cfg, *head_chs)
     out = StreamChannel(cfg.seq_len, "mha_out")
     for _ in range(cfg.seq_len):
         out.write(_project_out(weights, L.concat([ch.read() for ch in head_chs])))
@@ -299,11 +294,9 @@ def run_mha_streaming(cfg: MhaConfig, weights: MhaWeights,
 def run_mha_reference(cfg: MhaConfig, weights: MhaWeights,
                       softmax_cfg: SoftmaxConfig | None, x: Tensor,
                       mask: np.ndarray | None = None) -> Tensor:
-    """Whole-matrix oracle: softmax(Q K^T * c) V per head, concat, project.
-
-    Uses the same row kernels in the same evaluation order as the streaming
-    pipeline, so results are bit-exact equal in every number mode.
-    """
+    """The pipeline without channels: softmax(Q K^T * c) V per head, concat,
+    project, through the stages' helpers one row at a time in their
+    evaluation order, so results are bit-exact equal in every number mode."""
     _check_inputs(cfg, weights, x.shape, mask)
     projected = [_qkv(cfg, weights, x[t]) for t in range(cfg.seq_len)]
     scale = score_scale(cfg, L.fmt_of(x))

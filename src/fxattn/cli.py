@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import os
 import sys
@@ -33,31 +34,35 @@ def _fmt_help(prog: str) -> argparse.HelpFormatter:
     return argparse.HelpFormatter(prog, width=96)
 
 
-def parse_int_list(text: str) -> list[int]:
-    """Comma-separated ints, each item either N or an inclusive range A-B."""
+def int_at_least(text: str, lo: int = 1) -> int:
+    """An int no smaller than ``lo``. Every refusal is an ArgumentTypeError,
+    so argparse prints its message as is and exits 2, partial or not."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < lo:
+        raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+    return value
+
+
+def parse_int_list(text: str, lo: int = 1) -> list[int]:
+    """Comma-separated ints >= ``lo``, each item either N or an inclusive range A-B."""
     out: list[int] = []
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
         if "-" in item[1:]:
-            lo, hi = item.split("-", 1)
-            lo_i, hi_i = int(lo), int(hi)
+            lo_i, hi_i = (int_at_least(end, lo) for end in item.split("-", 1))
             if hi_i < lo_i:
                 raise argparse.ArgumentTypeError(f"empty range {item!r}")
             out.extend(range(lo_i, hi_i + 1))
         else:
-            out.append(int(item))
+            out.append(int_at_least(item, lo))
     if not out:
         raise argparse.ArgumentTypeError(f"no values in {text!r}")
     return out
-
-
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _fixed_format(text: str) -> fxp.FxFormat:
@@ -79,8 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen-data", formatter_class=_fmt_help,
                         help="generate a synthetic jet dataset CSV")
-    sp.add_argument("--n", type=int, default=10000, help="number of jets")
-    sp.add_argument("--seed", type=int, default=1, help="generator seed")
+    sp.add_argument("--n", type=int_at_least, default=10000, help="number of jets")
+    sp.add_argument("--seed", type=functools.partial(int_at_least, lo=0), default=1,
+                    help="generator seed")
     add_out(sp)
 
     sp = sub.add_parser("make-weights", formatter_class=_fmt_help,
@@ -103,9 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True, metavar="FILE")
     sp.add_argument("--int-bits", type=parse_int_list, default=DEFAULT_INT_BITS,
                     metavar="LIST", help=f"e.g. 6,8,10 or 6-10 (default {DEFAULT_INT_BITS})")
-    sp.add_argument("--frac-bits", type=parse_int_list, default=DEFAULT_FRAC_BITS,
+    sp.add_argument("--frac-bits", type=functools.partial(parse_int_list, lo=0),
+                    default=DEFAULT_FRAC_BITS,
                     metavar="LIST", help=f"default {DEFAULT_FRAC_BITS}")
-    sp.add_argument("--jobs", type=positive_int, default=1, metavar="N",
+    sp.add_argument("--jobs", type=int_at_least, default=1, metavar="N",
                     help="parallel worker processes")
     add_out(sp)
 
@@ -121,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("report-resources", formatter_class=_fmt_help,
                         help="per-layer multiplier/DSP/LUT/FF/BRAM table for one rf")
-    sp.add_argument("--rf", type=int, default=1, help="reuse factor")
+    sp.add_argument("--rf", type=int_at_least, default=1, help="reuse factor")
     sp.add_argument("--fmt", type=_fixed_format, default="fixed<20,10>",
                     metavar="fixed<W,I>", help="datapath width (default fixed<20,10>)")
     sp.add_argument("--device", default="vu13p", metavar="NAME",

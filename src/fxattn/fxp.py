@@ -35,14 +35,15 @@ looking at the data. Only products in formats too wide for that bound
 (up to 60 bits) scan their operands, once, to pick float64 or int64.
 A format's width and bounds are computed once, and every kernel reuses them.
 
-:func:`overflow_watch` counts overflow events while it is open, at two
-sites: the input check of :func:`quantize_array` and the overflow step that
-every kernel and :func:`saturate` end in. The precision sweep uses it to
-prove sweep points identical without running them.
+:func:`overflow_watch` counts the calling thread's overflow events while it
+is open, at two sites: the input check of :func:`quantize_array` and the
+overflow step that every kernel and :func:`saturate` end in. The precision
+sweep uses it to prove sweep points identical without running them.
 """
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import enum
 import math
 import re
@@ -210,34 +211,36 @@ def _shift_round_array(p: np.ndarray, shift: int, rounding: Rounding) -> np.ndar
 
 @dataclass
 class OverflowWatch:
-    """Overflow events counted while :func:`overflow_watch` is open, at two
-    sites: overflow steps that saturated or wrapped a value (every kernel's
-    and :func:`saturate`'s), and :func:`quantize_array` calls with an input
-    outside ``[-2**(int_bits - 1), 2**(int_bits - 1))``, infinities
-    included. A pass that counts none computes the same raws at any wider
-    int width, provided it computes them all itself: a quantization or table
-    cached from an earlier pass would carry no count. Events are counted per
-    call, and a chunked batch pass (:func:`fxattn.model.forward_batch`) makes
-    each call once per chunk, so the count grows with the number of chunks:
-    only zero against nonzero carries the proof."""
+    """Overflow events of the thread that opened :func:`overflow_watch`,
+    counted while it is open, at two sites: overflow steps that saturated or
+    wrapped a value (every kernel's and :func:`saturate`'s), and
+    :func:`quantize_array` calls with an input outside
+    ``[-2**(int_bits - 1), 2**(int_bits - 1))``, infinities included. A pass
+    that counts none computes the same raws at any wider int width, provided
+    it computes them all itself: a quantization or table cached from an
+    earlier pass would carry no count. Events are counted per call, and a
+    chunked batch pass (:func:`fxattn.model.forward_batch`) makes each call
+    once per chunk, so the count grows with the number of chunks: only zero
+    against nonzero carries the proof."""
 
     events: int = 0
 
 
-_watch: OverflowWatch | None = None
+# the innermost open OverflowWatch of the running context; a new thread has none
+_watch = contextvars.ContextVar("overflow_watch", default=None)
 
 
 @contextlib.contextmanager
 def overflow_watch():
-    """Count overflow events in this process while the block runs; yields the
-    :class:`OverflowWatch`. When no watch is open, each event site costs one
-    ``None`` check."""
-    global _watch
-    outer, _watch = _watch, OverflowWatch()
+    """Count the calling thread's overflow events while the block runs; yields
+    the :class:`OverflowWatch`. A thread started inside the block sees the
+    watch only when it runs in a copy of this context. With no watch open,
+    each event site costs one lookup and one ``None`` check."""
+    token = _watch.set(OverflowWatch())
     try:
-        yield _watch
+        yield _watch.get()
     finally:
-        _watch = outer
+        _watch.reset(token)
 
 
 def saturate(v: np.ndarray, fmt: FxFormat) -> None:
@@ -253,8 +256,9 @@ def _handle_overflow_array(v: np.ndarray, fmt: FxFormat,
     # a ufunc hands back a 0-d result as a scalar, and a bare int must stay
     # a Python int above 60 bits
     v = np.asarray(v, dtype=object if fmt.total_bits > 60 else None)
-    if _watch is not None and v.size and (v.min() < fmt.raw_min or v.max() > fmt.raw_max):
-        _watch.events += 1
+    watch = _watch.get()
+    if watch is not None and v.size and (v.min() < fmt.raw_min or v.max() > fmt.raw_max):
+        watch.events += 1
     if (overflow or fmt.overflow) is Overflow.SATURATE:
         v.clip(*fmt.bounds, out=v)
     else:
@@ -294,8 +298,9 @@ def quantize_array(x: np.ndarray, fmt: FxFormat) -> FxArray:
         raise ValueError("cannot quantize NaN")
     top = math.ldexp(1.0, fmt.int_bits - 1)
     # a clip below -top reaches raw_min with no raw overflow, so it counts here
-    if _watch is not None and x.size and (x.min() < -top or x.max() >= top):
-        _watch.events += 1
+    watch = _watch.get()
+    if watch is not None and x.size and (x.min() < -top or x.max() >= top):
+        watch.events += 1
     if fmt.overflow is Overflow.SATURATE:
         bounded = np.clip(x, -top, top)
     else:

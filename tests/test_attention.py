@@ -121,13 +121,6 @@ def test_stage1_zero_weights():
             assert np.all(q[h].read() == 0)
 
 
-def test_stage1_wrong_row_count():
-    cfg = MhaConfig(d_model=3, num_heads=1, seq_len=4, d_k=3)
-    w = identity_weights(cfg)
-    with pytest.raises(ValueError):
-        att.stage1_project(cfg, w, fill_channel(rows_of(np.ones((2, 3)))))
-
-
 def test_stage1_matches_dense_oracle():
     cfg = MhaConfig(d_model=5, num_heads=2, seq_len=4, d_k=3, d_v=2)
     rng = np.random.default_rng(1)
@@ -232,13 +225,6 @@ def test_stage2_matches_float_oracle():
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_stage2_length_mismatch():
-    cfg = MhaConfig(d_model=2, num_heads=1, seq_len=3, d_k=2)
-    with pytest.raises(ValueError):
-        att.stage2_scores(cfg, None, fill_channel([np.ones(2)] * 3),
-                          fill_channel([np.ones(2)] * 2), att.score_scale(cfg, None))
-
-
 def test_stage3_one_hot_scores_select_rows():
     cfg = MhaConfig(d_model=3, num_heads=1, seq_len=3, d_k=3, d_v=3)
     v = np.arange(9.0).reshape(3, 3)
@@ -298,6 +284,42 @@ def test_stage4_matches_concat_oracle():
     got = np.stack([out.read() for _ in range(3)])
     want = np.concatenate(blocks, axis=1) @ w.w_o.T + w.b_o
     assert np.allclose(got, want, atol=1e-12)
+
+
+FIFO_CFG = MhaConfig(d_model=2, num_heads=2, seq_len=3, d_k=1, d_v=1)
+
+
+def fifo(name, rows=FIFO_CFG.seq_len, width=1):
+    return fill_channel([np.ones(width)] * rows, name)
+
+
+# id: (a stage call given the layer's weights, what its ValueError names)
+FIFO_ENTRY = {
+    "stage1_short": (lambda w: att.stage1_project(FIFO_CFG, w, fifo("tracks", 2, 2)),
+                     "tracks"),
+    "stage1_long": (lambda w: att.stage1_project(FIFO_CFG, w, fifo("tracks", 4, 2)),
+                    "tracks"),
+    "stage2_q": (lambda w: att.stage2_scores(FIFO_CFG, None, fifo("q[0]", 2), fifo("k[0]"),
+                                             1.0), "q[0]"),
+    "stage2_k": (lambda w: att.stage2_scores(FIFO_CFG, None, fifo("q[0]"), fifo("k[0]", 2),
+                                             1.0), "k[0]"),
+    "stage3_scores": (lambda w: att.stage3_apply(FIFO_CFG, fifo("scores[0]", 2, 3),
+                                                 fifo("v[0]")), "scores[0]"),
+    "stage3_v": (lambda w: att.stage3_apply(FIFO_CFG, fifo("scores[0]", 3, 3),
+                                            fifo("v[0]", 2)), "v[0]"),
+    "stage4_head": (lambda w: att.stage4_concat_project(
+        FIFO_CFG, w, [fifo("head_out[0]"), fifo("head_out[1]", 2)]), "head_out[1]"),
+    "stage4_head_count": (lambda w: att.stage4_concat_project(
+        FIFO_CFG, w, [fifo("head_out[0]")]), "expected 2 head streams"),
+}
+
+
+@pytest.mark.parametrize("case", list(FIFO_ENTRY))
+def test_stage_refuses_a_fifo_without_one_row_per_token(case):
+    run, named = FIFO_ENTRY[case]
+    with pytest.raises(ValueError) as exc:
+        run(draw_mha_weights(FIFO_CFG, np.random.default_rng(0)))
+    assert named in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,31 @@ def test_sweep_precision_jobs_below_1_exits_2(run_cli, jobs):
     assert f"argument --jobs: must be at least 1, got {jobs}" in out.stderr
 
 
+# every numeric flag below its bound, and the flag argparse names
+OUT_OF_RANGE = [
+    (["gen-data", "--n", "0"], "--n"),
+    (["gen-data", "--n", "-3"], "--n"),
+    (["gen-data", "--seed", "-1"], "--seed"),
+    (["report-resources", "--rf", "0"], "--rf"),
+    (["sweep-reuse", "--rf", "0"], "--rf"),
+    (["sweep-reuse", "--rf", "2,-1"], "--rf"),
+    (["sweep-precision", "--weights", "w.json", "--data", "d.csv", "--int-bits", "0"],
+     "--int-bits"),
+    (["sweep-precision", "--weights", "w.json", "--data", "d.csv", "--frac-bits", "-1"],
+     "--frac-bits"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", OUT_OF_RANGE,
+                         ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE])
+def test_out_of_range_numeric_flag_exits_2(tmp_path, run_cli, argv, flag):
+    out = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert out.returncode == 2
+    assert f"argument {flag}" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_data_reproducible(tmp_path, run_cli):
     a = run_cli("gen-data", "--n", "50", "--seed", "7", "--out", str(tmp_path / "a"))
     b = run_cli("gen-data", "--n", "50", "--seed", "7", "--out", str(tmp_path / "b"))

@@ -1,6 +1,7 @@
 """Fixed-point kernel tests against exact-rational oracles."""
 import math
 import pickle
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -577,4 +578,35 @@ def test_leaving_the_watch_leaves_no_state():
         saturate()  # counted by the outer watch only
     saturate()  # counted by neither
     assert (outer.events, inner.events) == (1, 0)
-    assert fxp._watch is None
+    assert fxp._watch.get() is None
+
+
+def test_a_watch_counts_only_its_own_thread():
+    # A opens, B opens, A saturates once, A closes, B closes
+    saturate = WATCHED["kernel saturates"][0]
+    a_open, b_open, a_closed = threading.Event(), threading.Event(), threading.Event()
+    watches, left = {}, {}
+
+    def a():
+        with fxp.overflow_watch() as watches["A"]:
+            a_open.set()
+            assert b_open.wait(30)
+            saturate()
+        left["A"] = fxp._watch.get()
+        a_closed.set()
+
+    def b():
+        assert a_open.wait(30)
+        with fxp.overflow_watch() as watches["B"]:
+            b_open.set()
+            assert a_closed.wait(30)
+        left["B"] = fxp._watch.get()
+
+    threads = [threading.Thread(target=a), threading.Thread(target=b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    assert (watches["A"].events, watches["B"].events) == (1, 0)
+    assert left == {"A": None, "B": None}
+    assert fxp._watch.get() is None

@@ -1,5 +1,5 @@
 """Every function in src/fxattn runs under a CLI command or a benchmark entry
-point, and no function rebinds module state but the overflow watch.
+point, and no function rebinds module state.
 
 A function that only tests call is a second implementation to keep in step
 with the first; this guard fails as soon as one appears. It runs each CLI
@@ -8,8 +8,7 @@ harness calls directly, and records every Python call with sys.setprofile.
 
 A module variable that code rebinds is shared by every caller in the
 process, so two callers (a sweep inside a sweep, one test after another)
-see each other's state. The second guard fails on any ``global`` statement
-but the overflow watch's hook.
+see each other's state. The second guard fails on any ``global`` statement.
 """
 import ast
 import inspect
@@ -131,5 +130,5 @@ def global_statements() -> list[str]:
     return found
 
 
-def test_no_global_but_the_overflow_watch():
-    assert global_statements() == ["fxp.overflow_watch: global _watch"]
+def test_no_global_statement():
+    assert global_statements() == []

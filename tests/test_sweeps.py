@@ -1,5 +1,6 @@
 """Sweep determinism and CSV emission."""
 import logging
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,44 @@ def test_precision_sweep_is_reentrant(setup, monkeypatch):
     monkeypatch.setattr(sweeps, "forward_batch", forward_batch)
     assert sweeps.sweep_precision(cfg, w, ds, [8, 10], [4, 8]) == want
     assert len(inner["rows"]) == 1
+
+
+def test_concurrent_sweeps_return_their_serial_rows(setup, monkeypatch):
+    # A's int-4 pass overflows; it runs while B's watch is open, opened after A's
+    cfg, w, ds = setup
+    grids = {"A": ([4, 5], [8]), "B": ([10], [6])}
+    want = {name: sweeps.sweep_precision(cfg, w, ds, *grid) for name, grid in grids.items()}
+    real = sweeps.forward_batch
+    a_open, b_open, a_ran = threading.Event(), threading.Event(), threading.Event()
+
+    def forward_batch(cfg, weights, x, fmt=None):
+        me = threading.current_thread().name
+        if me == "A" and fmt == FxFormat(4, 8):  # inside A's watch
+            a_open.set()
+            assert b_open.wait(60)
+            try:
+                return real(cfg, weights, x, fmt=fmt)
+            finally:
+                a_ran.set()
+        if me == "B" and fmt is None:  # B's float pass, before B opens a watch
+            assert a_open.wait(60)
+        elif me == "B":  # inside B's watch
+            b_open.set()
+            assert a_ran.wait(60)
+        return real(cfg, weights, x, fmt=fmt)
+
+    monkeypatch.setattr(sweeps, "forward_batch", forward_batch)
+    got = {}
+
+    def run(name):
+        got[name] = sweeps.sweep_precision(cfg, w, ds, *grids[name])
+
+    threads = [threading.Thread(target=run, args=(name,), name=name) for name in grids]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(120)
+    assert got == want
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
