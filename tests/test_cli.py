@@ -230,6 +230,46 @@ PINNED_CHUNKED_PROBS_SHA256 = {
 }
 
 
+# sha256 of forward_batch's probability bytes in formats wider than 60 bits,
+# recorded while those formats still computed on Python ints in object arrays:
+# 300 jets of generate_synthetic(300, seed=20240601) with random_weights(
+# default_rng([20240601, 1])), and the first 60 of them in wrap/truncate with
+# random_weights(default_rng([20240601, 3]), scale=3.0), a pass that overflows
+PINNED_WIDE_PROBS_SHA256 = {
+    ("fixed<64,32>", "saturate", "round_even", 1, 1.0, 300):
+        "6d96099369209cd41745b960380ef2c02c09af8bc96d51d2bea6adc3ddf09f75",
+    ("fixed<62,12>", "wrap", "truncate", 3, 3.0, 60):
+        "c4ac970d569c6ba9dab30e5c42a7239647948f7a5f2b4c6d8f77b9602e4357b3",
+}
+
+
+def test_wide_probabilities_pinned():
+    import hashlib
+
+    import numpy as np
+
+    from fxattn import attention as att
+    from fxattn import data, fxp, model
+    from draws import softmax_tables
+    cfg = model.ModelConfig()
+    x = data.generate_synthetic(300, seed=20240601).feature_tensor()
+    for (spec, overflow, rounding, seed, scale, n), want in PINNED_WIDE_PROBS_SHA256.items():
+        fmt = fxp.parse_format(spec, fxp.Overflow(overflow), fxp.Rounding(rounding))
+        w = model.random_weights(cfg, np.random.default_rng([20240601, seed]), scale=scale)
+        with fxp.overflow_watch() as watch:
+            probs = model.forward_batch(cfg, w, x[:n], fmt=fmt)
+        assert hashlib.sha256(probs.tobytes()).hexdigest() == want, spec
+        assert (watch.events > 0) == (overflow == "wrap"), spec
+        # the first block's attention, streamed jet by jet, equals its batch pass
+        mha = att.quantize_mha_weights(w.blocks[0].mha, fmt)
+        scfg = softmax_tables(fmt, cfg.seq_len + 1)
+        xq = fxp.quantize_array(x[:3], fmt)
+        batch = att.mha_forward_batch(cfg.encoder.mha, mha, scfg, xq)
+        for i in range(3):
+            streamed = att.run_mha_streaming(cfg.encoder.mha, mha, scfg, xq[i])
+            assert streamed.raw.tolist() == batch.raw[i].tolist(), (spec, i)
+
+
 def test_chunked_probabilities_pinned():
     import hashlib
 

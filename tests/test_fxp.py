@@ -13,7 +13,7 @@ from fxattn import data, fxp, model
 from fxattn.fxp import FxArray, FxFormat, Overflow, Rounding
 from fxattn.softmax import softmax_lut
 from draws import softmax_tables
-from fxoracle import oracle_add, oracle_matmul, oracle_mul, oracle_quantize
+from fxoracle import apply_overflow, oracle_add, oracle_matmul, oracle_mul, oracle_quantize
 
 
 def fmt_strategy(max_total=16):
@@ -512,6 +512,75 @@ def test_every_kernel_output_in_range(spec, overflow, rounding):
         raws = [int(r) for r in np.ravel(out.raw)]
         assert all(fmt.raw_min <= r <= fmt.raw_max for r in raws)
         assert out.raw.dtype == (object if fmt.total_bits > 60 else np.int64)
+
+
+# ---------------------------------------------------------------------------
+# 57 to 64 bits against the oracle: full-range raws, both extremes in every draw
+# ---------------------------------------------------------------------------
+
+@st.composite
+def wide_format(draw, overflow, rounding):
+    total = draw(st.integers(57, 64))
+    int_bits = draw(st.integers(1, total))
+    return FxFormat(int_bits, total - int_bits, overflow=overflow, rounding=rounding)
+
+
+def wide_raws(draw, fmt, n):
+    """n >= 2 full-range raws, the first two raw_min and raw_max."""
+    raws = draw(st.lists(st.integers(fmt.raw_min, fmt.raw_max), min_size=n - 2, max_size=n - 2))
+    return np.array([fmt.raw_min, fmt.raw_max, *raws], dtype=np.int64)
+
+
+@pytest.mark.parametrize("overflow,rounding", MODES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_wide_elementwise_match_oracle(overflow, rounding, data):
+    fmt = data.draw(wide_format(overflow, rounding))
+    n = data.draw(st.integers(2, 10))
+    a = wide_raws(data.draw, fmt, n)
+    b = np.roll(wide_raws(data.draw, fmt, n), data.draw(st.integers(0, n - 1)))
+    fa, fb = FxArray(a, fmt), FxArray(b, fmt)
+    assert fxp.fx_add_array(fa, fb).raw.tolist() == [oracle_add(x, y, fmt) for x, y in zip(a, b)]
+    assert fxp.fx_mul_array(fa, fb).raw.tolist() == [oracle_mul(x, y, fmt) for x, y in zip(a, b)]
+    # both extremes against each other and against themselves, broadcast
+    ends = FxArray(a[:2, None], fmt)
+    assert fxp.fx_mul_array(ends, FxArray(a[:2], fmt)).raw.tolist() == \
+        [[oracle_mul(x, y, fmt) for y in a[:2]] for x in a[:2]]
+    assert int(fxp.fx_add_array(fa[1], fa[1]).raw) == oracle_add(a[1], a[1], fmt)
+
+
+@pytest.mark.parametrize("overflow,rounding", MODES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_wide_matmul_and_sum_match_oracle(overflow, rounding, data):
+    fmt = data.draw(wide_format(overflow, rounding))
+    rows, k, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 6)), data.draw(st.integers(1, 3))
+    a = np.stack([np.roll(wide_raws(data.draw, fmt, k), i) for i in range(rows)])
+    b = np.stack([np.roll(wide_raws(data.draw, fmt, k), i) for i in range(cols)], axis=1)
+    fa, fb = FxArray(a, fmt), FxArray(b, fmt)
+    assert fxp.fx_matmul(fa, fb).raw.tolist() == oracle_matmul(a, b, fmt)
+    # matrix-vector, vector-matrix and a batch of two
+    assert fxp.fx_matmul(fa, fb[:, 0]).raw.tolist() == [r[0] for r in oracle_matmul(a, b[:, :1], fmt)]
+    assert fxp.fx_matmul(fa[0], fb).raw.tolist() == oracle_matmul(a[:1], b, fmt)[0]
+    batch = fxp.fx_matmul(FxArray(np.stack([a, a[:, ::-1]]), fmt), FxArray(np.stack([b, b]), fmt))
+    assert batch.raw.tolist() == [oracle_matmul(a, b, fmt), oracle_matmul(a[:, ::-1], b, fmt)]
+    want_sum = [apply_overflow(sum(int(x) for x in row), fmt) for row in a]
+    assert fxp.fx_sum(fa).raw.tolist() == want_sum
+    assert fxp.fx_sum(fa, axis=0).raw.tolist() == [apply_overflow(sum(int(x) for x in col), fmt)
+                                                    for col in a.T]
+
+
+@pytest.mark.parametrize("overflow,rounding", MODES)
+@pytest.mark.parametrize("spec", ["fixed<57,20>", "fixed<61,30>", "fixed<64,32>", "fixed<64,1>"])
+def test_wide_long_reductions_match_oracle(spec, overflow, rounding):
+    # 180 terms: more than one block of exactly summed limb products
+    fmt = fxp.parse_format(spec, overflow=overflow, rounding=rounding)
+    a, b = edge_operands(fmt, 180, seed=fmt.total_bits)
+    assert fxp.fx_matmul(FxArray(a, fmt), FxArray(b, fmt)).raw.tolist() == oracle_matmul(a, b, fmt)
+    full = FxArray(np.full(300, fmt.raw_max, dtype=np.int64), fmt)
+    assert int(fxp.fx_sum(full).raw) == apply_overflow(300 * fmt.raw_max, fmt)
+    assert fxp.fx_sum(FxArray(a, fmt)).raw.tolist() == [apply_overflow(sum(int(x) for x in row), fmt)
+                                                        for row in a]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import pytest
 
 from fxattn import fxp
 from fxattn import softmax as sm
-from fxattn.fxp import FxFormat, Overflow
-from fxoracle import oracle_mul
+from fxattn.fxp import FxFormat, Overflow, Rounding
+from fxoracle import apply_overflow, oracle_mul
 
 FMT = FxFormat(10, 10)
 
@@ -279,3 +279,36 @@ def test_exact_matches_mpmath():
         total = mpmath.fsum(es)
         ref = np.array([float(e / total) for e in es])
     assert np.abs(sm.softmax_exact(v) - ref).max() <= 1e-12
+
+
+def oracle_softmax_row(cfg, raws, keep):
+    """The documented steps in Python ints: the saturating shift, the exp bin,
+    the masked zero, the sum with overflow handling, one rounded product."""
+    fmt = cfg.io_format
+    top = max(r for r, k in zip(raws, keep) if k)
+    shifted = [min(max(r - top, fmt.raw_min), fmt.raw_max) for r in raws]
+    e = [int(cfg.exp_table.entries_raw[rational_index(cfg.exp_table, s)]) if k else 0
+         for s, k in zip(shifted, keep)]
+    inv = int(cfg.inv_table.entries_raw[rational_index(cfg.inv_table, apply_overflow(sum(e), fmt))])
+    return [oracle_mul(x, inv, fmt) for x in e]
+
+
+@pytest.mark.parametrize("overflow", list(Overflow))
+@pytest.mark.parametrize("rounding", list(Rounding))
+@pytest.mark.parametrize("spec", ["fixed<64,8>", "fixed<64,32>", "fixed<63,1>"])
+def test_wide_softmax_matches_oracle_at_the_extremes(spec, rounding, overflow):
+    # raw_min and raw_max in one row with full-range raws; in the second a
+    # masked key holds raw_max, so its shift is positive and saturates, and
+    # the kept scores lie within a few units of their maximum
+    fmt = fxp.parse_format(spec, overflow, rounding)
+    cfg = make_cfg(fmt, n_max=8.0)
+    rng = np.random.default_rng(fmt.total_bits)
+    full = rng.integers(fmt.raw_min, fmt.raw_max, 4, endpoint=True).tolist()
+    near = rng.integers(max(fmt.raw_min, -4 << fmt.frac_bits), 1 << fmt.frac_bits, 5).tolist()
+    raws = [[fmt.raw_min, fmt.raw_max, 0, *full],
+            [fmt.raw_min, *near[:2], fmt.raw_max, *near[2:]]]
+    keep = np.array([True, True, True, False, True, True, True])
+    v = fxp.FxArray(np.array(raws, dtype=fxp.quantize_array(0.0, fmt).raw.dtype), fmt)
+    got = sm.softmax_lut(cfg, v, keep).raw.tolist()
+    assert got == [oracle_softmax_row(cfg, row, keep) for row in raws]
+    assert got[1][3] == 0
