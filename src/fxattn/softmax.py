@@ -58,17 +58,26 @@ class LutTable:
         fits = (p << (self.fmt.total_bits - 1)) + abs(r) < 1 << 63
         return p, r, q, fits, (np.int64(0), np.int64(self.size - 1))
 
+    @cached_property
+    def _edges(self) -> np.ndarray:
+        """The raws at which the bin steps up: bin k >= 1 starts at
+        ceil((k*q + r) / p). Edges above raw_max are dropped and those below
+        raw_min clamped to it, so every edge is an int64."""
+        p, r, q, _, _ = self._index_map
+        starts = (-(-(k * q + r) // p) for k in range(1, self.size))
+        return np.array([max(e, self.fmt.raw_min) for e in starts if e <= self.fmt.raw_max],
+                        dtype=np.int64)
+
     def index_of(self, raw: np.ndarray | int) -> np.ndarray:
         """clamp(floor((raw * 2**-frac - lo) * size / (hi - lo)), 0, size - 1), exactly."""
         p, r, q, fits, bins = self._index_map
-        raw = np.asarray(raw)
-        if raw.dtype == object or not fits:
-            raw = raw.astype(object)
-        i = np.asarray(raw * p, dtype=raw.dtype)
+        if not fits:  # raw * p - r may leave int64: count the edges at or below raw
+            return np.searchsorted(self._edges, raw, side="right")
+        i = np.asarray(raw * p)
         i -= r
         np.floor_divide(i, q, out=i)
         i.clip(*bins, out=i)
-        return i.astype(np.int64, copy=False)
+        return i
 
     def lookup_raw(self, raw: np.ndarray | int) -> np.ndarray:
         return self.entries_raw[self.index_of(raw)]
@@ -143,8 +152,7 @@ def softmax_lut(cfg: SoftmaxConfig, v: FxArray,
         raise ValueError(f"input format {v.fmt.spec()} != table format {fmt.spec()}")
     raw = v.raw
     kept = raw if keep is None else np.where(keep, raw, fmt.raw_min)
-    shifted = raw - kept.max(axis=-1, keepdims=True)
-    fxp.saturate(shifted, fmt)
+    shifted = fxp.saturate_difference(raw, kept.max(axis=-1, keepdims=True), fmt)
     e_raw = cfg.exp_table.lookup_raw(shifted)
     del shifted  # as large as the scores; free it before the products
     if keep is not None:

@@ -383,7 +383,7 @@ def test_streaming_equals_reference_fixed(int_bits, frac_bits):
 
 @pytest.mark.parametrize("fmt", [fxp.parse_format("fixed<64,32>"),
                                  FxFormat(6, 6, overflow=Overflow.WRAP)],
-                         ids=["object", "wrap"])
+                         ids=["limbs", "wrap"])
 def test_streaming_equals_reference_and_batch_off_the_int64_saturate_path(fmt):
     cfg = MhaConfig(d_model=6, num_heads=2, seq_len=7, d_k=3)
     rng = np.random.default_rng(19)

@@ -46,16 +46,15 @@ def test_format_range():
     assert fmt.step == 0.0625
 
 
-@pytest.mark.parametrize("spec,total,kind", [
-    ("fixed<20,10>", 20, np.int64), ("fixed<60,30>", 60, np.int64),
-    ("fixed<61,30>", 61, int), ("fixed<64,32>", 64, int),
+@pytest.mark.parametrize("spec,total", [
+    ("fixed<20,10>", 20), ("fixed<60,30>", 60), ("fixed<61,30>", 61), ("fixed<64,32>", 64),
 ])
-def test_format_constants_fixed_once(spec, total, kind):
-    # int64 bounds wherever raws are int64, Python ints on the object path
+def test_format_constants_fixed_once(spec, total):
+    # int64 bounds at every width, the dtype of every raw
     fmt = fxp.parse_format(spec)
     assert fmt.total_bits == total
     assert fmt.bounds == (fmt.raw_min, fmt.raw_max) == (-2 ** (total - 1), 2 ** (total - 1) - 1)
-    assert [type(b) for b in fmt.bounds] == [kind, kind]
+    assert [type(b) for b in fmt.bounds] == [np.int64, np.int64]
 
 
 @pytest.mark.parametrize("spec", ["fixed<20,10>", "fixed<64,32>"])
@@ -283,7 +282,7 @@ def test_quantize_array_every_width_matches_oracle(spec, overflow, rounding):
     xs = np.concatenate([EDGE_VALUES, rng.normal(0.0, 2.0 ** fmt.int_bits, 40),
                          np.ldexp(rng.normal(size=40), rng.integers(-70, 70, 40))])
     got = fxp.quantize_array(xs.reshape(5, -1), fmt)
-    assert got.raw.dtype == (object if fmt.total_bits > 60 else np.int64)
+    assert got.raw.dtype == np.int64
     for g, x in zip(got.raw.flat, xs):
         if math.isinf(x):
             want = fmt.raw_max if x > 0 else fmt.raw_min
@@ -323,14 +322,15 @@ def test_matmul_single_rounding_oracle(fmt, data):
         assert int(out.raw[i]) == oracle_quantize(exact, fmt)
 
 
-def test_matmul_wide_format_object_fallback():
+def test_matmul_wide_format_on_limbs():
     # (32,32) products cannot be accumulated in int64; result must still be exact
     fmt = FxFormat(32, 32)
     big = fmt.raw_max
-    m = FxArray(np.array([[big, big]], dtype=object), fmt)
-    v = FxArray(np.array([big, big], dtype=object), fmt)
+    m = FxArray(np.array([[big, big]], dtype=np.int64), fmt)
+    v = FxArray(np.array([big, big], dtype=np.int64), fmt)
     out = fxp.fx_matmul(m, v)
     exact = 2 * Fraction(big, 1 << 32) ** 2
+    assert out.raw.dtype == np.int64
     assert int(out.raw[0]) == oracle_quantize(exact, fmt)
 
 
@@ -349,10 +349,11 @@ def test_relu():
 
 # ---------------------------------------------------------------------------
 # the arithmetic tiers at their exactness edges: float64 while a sum of
-# products is provably below 2**53, int64 below 2**62, Python ints above
+# products is provably below 2**53, int64 below 2**62, limbs above
 # ---------------------------------------------------------------------------
 
 MODES = [(o, r) for o in Overflow for r in Rounding]
+LIMBS = None  # what _product_dtype returns for the limb tier
 
 
 def edge_operands(fmt: FxFormat, k: int, seed: int):
@@ -405,8 +406,8 @@ def test_mul_array_at_the_float64_edge(total, tier, overflow, rounding):
 @pytest.mark.parametrize("spec,top,tier", [
     ("fixed<20,10>", None, np.float64),     # proven from the format alone
     ("fixed<40,20>", 2 ** 30, np.int64),    # a scan bounds the products below 2**62
-    ("fixed<40,20>", None, object),         # full-range raws reach 2**78
-    ("fixed<64,32>", None, object),         # above 60 bits, no scan
+    ("fixed<40,20>", None, LIMBS),          # full-range raws reach 2**78
+    ("fixed<64,32>", None, LIMBS),          # above 60 bits, no scan
 ])
 def test_mul_array_commutes_bit_for_bit(spec, top, tier):
     # the larger operand first, then second: no tier scales one side specially
@@ -417,19 +418,18 @@ def test_mul_array_commutes_bit_for_bit(spec, top, tier):
         big = [int(rng.integers(lo, hi, endpoint=True)) for _ in range(4 * 16)]
         small = [int(rng.integers(lo, hi, endpoint=True)) for _ in range(4)]
         big[:2], small[:2] = [lo, hi], [lo, hi]
-        dtype = object if fmt.total_bits > 60 else np.int64
-        a = FxArray(np.array(big, dtype=dtype).reshape(4, 16), fmt)
-        b = FxArray(np.array(small, dtype=dtype).reshape(4, 1), fmt)
+        a = FxArray(np.array(big, dtype=np.int64).reshape(4, 16), fmt)
+        b = FxArray(np.array(small, dtype=np.int64).reshape(4, 1), fmt)
         assert fxp._product_dtype(a.raw, b.raw, fmt, 1) is tier
         ab, ba = fxp.fx_mul_array(a, b), fxp.fx_mul_array(b, a)
-        assert ab.raw.dtype == ba.raw.dtype and ab.raw.tolist() == ba.raw.tolist()
+        assert ab.raw.dtype == ba.raw.dtype == np.int64 and ab.raw.tolist() == ba.raw.tolist()
         assert ab.raw.tolist() == [[oracle_mul(x, y[0], fmt) for x in row]
                                    for row, y in zip(a.raw.tolist(), b.raw.tolist())]
 
 
 @pytest.mark.parametrize("overflow,rounding", MODES)
 @pytest.mark.parametrize("limit,below,at", [(53, np.float64, np.int64),
-                                            (62, np.int64, object)])
+                                            (62, np.int64, LIMBS)])
 def test_data_bound_crossing(limit, below, at, overflow, rounding):
     # at 40 bits only a scan can place a product: 4 terms of 2**29 times
     # 2**(limit-31) - 1 stay below 2**limit, times 2**(limit-31) reach it
@@ -466,16 +466,15 @@ def tie_pairs(fmt: FxFormat, abits: int, bbits: int):
             for j in (top, top - 1):
                 a_out.append(a)
                 b_out.append(b0 + j * mod)
-    dtype = object if fmt.total_bits > 60 else np.int64
-    return np.array(a_out, dtype=dtype), np.array(b_out, dtype=dtype)
+    return np.array(a_out, dtype=np.int64), np.array(b_out, dtype=np.int64)
 
 
 @pytest.mark.parametrize("spec,abits,bbits,tier", [
     ("fixed<20,10>", 9, 19, np.float64),   # bound from the width alone
     ("fixed<40,10>", 21, 31, np.float64),  # a scan finds the bound below 2**53
     ("fixed<40,10>", 28, 31, np.int64),
-    ("fixed<40,10>", 30, 34, object),
-    ("fixed<64,8>", 58, 58, object),       # above 60 bits, no scan
+    ("fixed<40,10>", 30, 34, LIMBS),
+    ("fixed<64,8>", 58, 58, LIMBS),        # above 60 bits, no scan
 ])
 def test_ties_round_exactly_in_every_tier(spec, abits, bbits, tier):
     # products stay in range, so saturation cannot hide a rounding error
@@ -500,8 +499,6 @@ def test_every_kernel_output_in_range(spec, overflow, rounding):
     a, b = (np.array([fmt.raw_min, fmt.raw_max] + [int(rng.integers(fmt.raw_min >> 1, fmt.raw_max >> 1))
                                                     for _ in range(14)]).reshape(4, 4)
             for _ in range(2))
-    if fmt.total_bits > 60:
-        a, b = a.astype(object), b.astype(object)
     fa, fb = FxArray(a, fmt), FxArray(b, fmt)
     # 0-d results too: one dot product, one full sum
     outs = [fxp.fx_add_array(fa, fb), fxp.fx_mul_array(fa, fb), fxp.fx_matmul(fa, fb),
@@ -511,7 +508,7 @@ def test_every_kernel_output_in_range(spec, overflow, rounding):
     for out in outs:
         raws = [int(r) for r in np.ravel(out.raw)]
         assert all(fmt.raw_min <= r <= fmt.raw_max for r in raws)
-        assert out.raw.dtype == (object if fmt.total_bits > 60 else np.int64)
+        assert out.raw.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------

@@ -240,8 +240,8 @@ def test_chunked_forward_equals_per_jet(fmt):
     assert_equals_per_jet(*benchmark_inputs(1100), fxp.parse_format(fmt))
 
 
-def test_chunked_forward_equals_per_jet_object_tier(monkeypatch):
-    # formats above 60 bits compute on object arrays; chunks of 4, 3 and 3
+def test_chunked_forward_equals_per_jet_limb_tier(monkeypatch):
+    # formats above 60 bits compute their products on limbs; chunks of 4, 3 and 3
     monkeypatch.setattr(model, "CHUNK_JETS", 4)
     cfg, w, x = benchmark_inputs(10)
     assert_equals_per_jet(cfg, w, x, fxp.parse_format("fixed<64,32>"))

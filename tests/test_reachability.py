@@ -78,6 +78,8 @@ def run_commands(out: Path) -> None:
         ["infer", "--weights", weights, "--data", csv],
         ["infer", "--weights", weights, "--data", csv, "--fmt", "fixed<16,6>"],
         ["infer", "--weights", weights, "--data", csv, "--fmt", "fixed<64,32>"],
+        # its products bound their sums between 2**53 and 2**62: the int64 tier
+        ["infer", "--weights", weights, "--data", csv, "--fmt", "fixed<48,24>"],
         ["sweep-precision", "--weights", weights, "--data", csv,
          "--int-bits", "10", "--frac-bits", "0,16", "--jobs", "1"],
         ["sweep-reuse", "--device", f"custom:{device}"],
@@ -132,3 +134,27 @@ def global_statements() -> list[str]:
 
 def test_no_global_statement():
     assert global_statements() == []
+
+
+def object_array_sites() -> list[str]:
+    """"module:line" of every ``dtype=object``, ``astype(object)`` and
+    ``_as_object`` in src/fxattn."""
+    def is_object(node) -> bool:
+        return isinstance(node, ast.Name) and node.id == "object"
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = {getattr(node, key, None) for key in ("id", "attr", "name")}
+            if ("_as_object" in named
+                    or isinstance(node, ast.keyword) and node.arg == "dtype"
+                    and is_object(node.value)
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "astype" and node.args and is_object(node.args[0])):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_object_arrays():
+    # raws are int64 at every width; wide intermediates run on int64 limbs
+    assert object_array_sites() == []

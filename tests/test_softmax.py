@@ -106,14 +106,14 @@ def test_index_exact_one_lsb_below_an_edge_at_56_frac_bits(table):
     edge_raw = int(edge * (1 << fmt.frac_bits))
     assert int(t.index_of(edge_raw)) == rational_index(t, edge_raw) == 600
     assert int(t.index_of(edge_raw - 1)) == rational_index(t, edge_raw - 1) == 599
-    assert list(t.index_of(np.array([edge_raw - 1, edge_raw], dtype=object))) == [599, 600]
+    assert list(t.index_of(np.array([edge_raw - 1, edge_raw], dtype=np.int64))) == [599, 600]
 
 
 def test_softmax_lut_uses_the_exact_exp_bin_at_56_frac_bits():
     fmt = fxp.parse_format("fixed<64,8>")
     cfg = make_cfg(fmt)
     edge_raw = int((Fraction(-8) + Fraction(600 * 8, 1024)) * (1 << fmt.frac_bits))
-    v = fxp.FxArray(np.array([0, edge_raw - 1], dtype=object), fmt)
+    v = fxp.FxArray(np.array([0, edge_raw - 1], dtype=np.int64), fmt)
     e = [int(cfg.exp_table.entries_raw[i]) for i in (1023, 599)]
     inv = int(cfg.inv_table.entries_raw[rational_index(cfg.inv_table, sum(e))])
     want = [oracle_mul(x, inv, fmt) for x in e]
@@ -308,7 +308,7 @@ def test_wide_softmax_matches_oracle_at_the_extremes(spec, rounding, overflow):
     raws = [[fmt.raw_min, fmt.raw_max, 0, *full],
             [fmt.raw_min, *near[:2], fmt.raw_max, *near[2:]]]
     keep = np.array([True, True, True, False, True, True, True])
-    v = fxp.FxArray(np.array(raws, dtype=fxp.quantize_array(0.0, fmt).raw.dtype), fmt)
+    v = fxp.FxArray(np.array(raws, dtype=np.int64), fmt)
     got = sm.softmax_lut(cfg, v, keep).raw.tolist()
     assert got == [oracle_softmax_row(cfg, row, keep) for row in raws]
     assert got[1][3] == 0
