@@ -11,6 +11,7 @@ Usage:
     python scripts/run_paper_sweeps.py [--out results] [--n 10000] [--seed 20240601] [--jobs 4]
 """
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -20,9 +21,9 @@ from fxattn import cli
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="results", help="output directory")
-    ap.add_argument("--n", type=int, default=10_000, help="synthetic jets")
-    ap.add_argument("--seed", type=int, default=20240601)
-    ap.add_argument("--jobs", type=int, default=1, help="sweep worker processes")
+    ap.add_argument("--n", type=cli.int_at_least, default=10_000, help="synthetic jets")
+    ap.add_argument("--seed", type=functools.partial(cli.int_at_least, lo=0), default=20240601)
+    ap.add_argument("--jobs", type=cli.int_at_least, default=1, help="sweep worker processes")
     args = ap.parse_args()
 
     out = ["--out", args.out]

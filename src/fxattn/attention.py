@@ -14,15 +14,13 @@ Streaming is emulated functionally: stages run to completion in sequence,
 each draining the bounded channels the previous one filled, and each first
 checks that every input channel holds one row per token. Determinism and
 bit-exactness are the point; simulated timing lives in the cost model.
-``run_mha_reference`` runs the stages' helpers one row at a time in the
-same evaluation order, without channels, so streaming and reference outputs
-are equal bit for bit in both float and fixed modes (the pipeline's
-defining correctness property). ``mha_forward_batch`` is the multi-sample
-fast path used by the model; in fixed mode it too is bit-exact. All three
-form Q/K/V through stage 1's joined product, over a row or a whole batch,
-and share one score step and one output-projection step.
+``mha_forward_batch`` is the multi-sample fast path used by the model. Both
+paths form Q/K/V through stage 1's joined product, over a row or a whole
+batch, and share one score step and one output-projection step; in fixed
+mode they are bit-exact equal, and the tests hold both to an exact-rational
+oracle of the layer that shares none of this code.
 
-All three paths compute with the op set of :mod:`fxattn.layers`, which is
+Both paths compute with the op set of :mod:`fxattn.layers`, which is
 where float and fixed-point arithmetic part ways; nothing here tests the
 number mode. An optional key mask (bool, one entry per row) gives masked
 keys exactly zero attention weight in both modes.
@@ -291,23 +289,9 @@ def run_mha_streaming(cfg: MhaConfig, weights: MhaWeights,
     return result
 
 
-def run_mha_reference(cfg: MhaConfig, weights: MhaWeights,
-                      softmax_cfg: SoftmaxConfig | None, x: Tensor,
-                      mask: np.ndarray | None = None) -> Tensor:
-    """The pipeline without channels: softmax(Q K^T * c) V per head, concat,
-    project, through the stages' helpers one row at a time in their
-    evaluation order, so results are bit-exact equal in every number mode."""
-    _check_inputs(cfg, weights, x.shape, mask)
-    projected = [_qkv(cfg, weights, x[t]) for t in range(cfg.seq_len)]
-    scale = score_scale(cfg, L.fmt_of(x))
-    head_blocks = []
-    for h in range(cfg.num_heads):
-        # stacked from the row slices, so contiguous like the streaming stages' blocks
-        q, k, v = (L.stack([parts[3 * h + i] for parts in projected]) for i in range(3))
-        probs = [_scores(q[t], k, scale, softmax_cfg, mask) for t in range(cfg.seq_len)]
-        head_blocks.append(L.stack([L.matmul(p, v) for p in probs]))
-    return L.stack([_project_out(weights, L.concat([blk[t] for blk in head_blocks]))
-                    for t in range(cfg.seq_len)])
+# perfbench's per-jet check (workloads.reference_probs) calls this name; the
+# tests hold both attention paths to an exact oracle instead
+run_mha_reference = run_mha_streaming
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +301,9 @@ def run_mha_reference(cfg: MhaConfig, weights: MhaWeights,
 def mha_forward_batch(cfg: MhaConfig, weights: MhaWeights,
                       softmax_cfg: SoftmaxConfig | None, x: Tensor,
                       mask: np.ndarray | None = None) -> Tensor:
-    """Attention over a batch (n, seq_len, d_model); bit-exact to the
-    reference in fixed mode (integer accumulation is order-free)."""
+    """Attention over a batch (n, seq_len, d_model); bit-exact to
+    :func:`run_mha_streaming` per jet in fixed mode (integer accumulation is
+    order-free)."""
     if x.ndim != 3:
         raise ValueError(
             f"batch shape {tuple(x.shape)} != (n, {cfg.seq_len}, {cfg.d_model})"

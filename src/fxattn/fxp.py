@@ -450,8 +450,9 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b
     a = a.astype(np.float64, copy=False)
     # one gemm over many rows would start BLAS threads, which contend with the
-    # worker processes of a sweep; a stack of row products stays on this thread
-    return (a[:, None, :] @ b)[:, 0] if a.ndim == 2 else a @ b
+    # worker processes of a sweep; a stack of row products stays on this thread.
+    # Against a b with batch axes the stack would pair a's rows with them.
+    return (a[:, None, :] @ b)[:, 0] if a.ndim == 2 and b.ndim <= 2 else a @ b
 
 
 def _exact_product(a: FxArray, b: FxArray, k: int, op, limb_groups) -> FxArray:

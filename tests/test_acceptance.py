@@ -16,7 +16,7 @@ from fxattn import costmodel as cm
 from fxattn import data, fxp, metrics, model, sweeps
 from fxattn import softmax as sm
 from fxattn.fxp import FxFormat, Overflow, Rounding
-from draws import draw_mha_weights, softmax_tables
+from draws import draw_mha_weights, oracle_attention, softmax_tables
 from fxoracle import fraction_of
 
 _MODULE_T0 = time.monotonic()
@@ -50,7 +50,8 @@ def benchmark_setup():
 
 
 def test_criterion_1_streaming_reference_bit_exact():
-    """200 random (config, weights, input, format) cases, bit-exact, <10 s."""
+    """200 random (config, weights, input, format) cases, streaming equal to
+    the exact oracle (tests/fxoracle.py) bit for bit, <10 s."""
     t0 = time.monotonic()
     rng = np.random.default_rng(4201)
     combos = [(s, h) for s in (1, 2, 15) for h in (1, 2, 4)]
@@ -65,17 +66,17 @@ def test_criterion_1_streaming_reference_bit_exact():
                        rounding=Rounding.ROUND_EVEN if rng.random() < 0.5 else Rounding.TRUNCATE)
         cfg = att.MhaConfig(d_model=d_model, num_heads=heads, seq_len=seq,
                             d_k=d_k, d_v=d_v)
-        w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
-        x = fxp.quantize_array(rng.normal(0, 1.5, size=(seq, d_model)), fmt)
+        w = draw_mha_weights(cfg, rng)
+        x = rng.normal(0, 1.5, size=(seq, d_model))
         scfg = softmax_tables(fmt, seq + 1)
-        out_s = att.run_mha_streaming(cfg, w, scfg, x)
-        out_r = att.run_mha_reference(cfg, w, scfg, x)
-        assert np.array_equal(out_s.raw, out_r.raw), \
+        out_s = att.run_mha_streaming(cfg, att.quantize_mha_weights(w, fmt), scfg,
+                                      fxp.quantize_array(x, fmt))
+        assert out_s.raw.tolist() == oracle_attention(fmt, x, w, scfg), \
             f"mismatch at case {cases}: seq={seq} heads={heads} fmt={fmt.spec()}"
         cases += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
-    with criterion(1, f"200 streaming==reference cases bit-exact in {elapsed:.1f}s"):
+    with criterion(1, f"200 streaming==oracle cases bit-exact in {elapsed:.1f}s"):
         pass
 
 

@@ -1,4 +1,5 @@
-"""Streaming pipeline vs whole-matrix reference, stage by stage and end to end."""
+"""The streaming pipeline stage by stage, and both attention paths end to end
+against the exact oracle (tests/fxoracle.py)."""
 import math
 from collections import Counter
 
@@ -12,7 +13,8 @@ from fxattn import softmax as sm
 from fxattn.attention import ChannelError, MhaConfig, StreamChannel
 from fxattn.fxp import FxFormat, FxArray, Overflow
 from fxattn.model import ModelConfig
-from draws import draw_mha_weights, softmax_tables
+from draws import draw_format, draw_mha_config, draw_mha_weights, oracle_attention, \
+    softmax_tables
 from fxoracle import oracle_add, oracle_matmul
 
 
@@ -160,8 +162,10 @@ def test_batch_one_qkv_product(monkeypatch):
     cfg = ModelConfig().encoder.mha
     fmt = FxFormat(10, 10)
     rng = np.random.default_rng(20)
-    w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
-    xs = fxp.quantize_array(rng.normal(size=(3, cfg.seq_len, cfg.d_model)), fmt)
+    w_float = draw_mha_weights(cfg, rng)
+    w = att.quantize_mha_weights(w_float, fmt)
+    x_float = rng.normal(size=(3, cfg.seq_len, cfg.d_model))
+    xs = fxp.quantize_array(x_float, fmt)
     scfg = make_softmax(fmt, cfg.seq_len)
     calls = []
     for name in ("fx_matmul", "fx_add_array"):
@@ -172,11 +176,10 @@ def test_batch_one_qkv_product(monkeypatch):
     assert calls.count("fx_matmul") == 6 and calls.count("fx_add_array") == 2
     monkeypatch.undo()
     for i in range(3):
-        assert np.array_equal(batch.raw[i], att.run_mha_reference(cfg, w, scfg, xs[i]).raw)
+        assert batch.raw[i].tolist() == oracle_attention(fmt, x_float[i], w_float, scfg)
 
 
-@pytest.mark.parametrize("path", ["run_mha_streaming", "run_mha_reference"])
-def test_per_jet_paths_kernel_calls(monkeypatch, path):
+def test_streaming_kernel_calls(monkeypatch):
     # 15 rows through stages 1 and 4 (a product and a bias add each), 2 heads
     # x 15 rows through stage 2 (product, scale, table softmax) and stage 3
     cfg = ModelConfig().encoder.mha
@@ -192,7 +195,7 @@ def test_per_jet_paths_kernel_calls(monkeypatch, path):
         kernel = getattr(mod, name)
         monkeypatch.setattr(mod, name, lambda *a, name=name, kernel=kernel, **kw:
                             calls.append(name) or kernel(*a, **kw))
-    getattr(att, path)(cfg, w, scfg, x)
+    att.run_mha_streaming(cfg, w, scfg, x)
     assert Counter(calls) == {"fx_matmul": 90, "fx_mul_array": 60, "fx_add_array": 30,
                               "fx_sum": 30, "softmax_lut": 30}
 
@@ -344,12 +347,12 @@ def test_streaming_zero_weights_bias_output():
     assert np.allclose(out, np.tile(w.b_o, (3, 1)), atol=1e-15)
 
 
-def test_float_reference_definition_single_head():
+def test_float_streaming_definition_single_head():
     cfg = MhaConfig(d_model=4, num_heads=1, seq_len=6, d_k=4)
     rng = np.random.default_rng(8)
     w = draw_mha_weights(cfg, rng)
     x = rng.normal(size=(6, 4))
-    got = att.run_mha_reference(cfg, w, None, x)
+    got = att.run_mha_streaming(cfg, w, None, x)
     q = x @ w.w_q[0].T + w.b_q[0]
     k = x @ w.w_k[0].T + w.b_k[0]
     v = x @ w.w_v[0].T + w.b_v[0]
@@ -357,70 +360,82 @@ def test_float_reference_definition_single_head():
     assert np.allclose(got, want, atol=1e-10)
 
 
+# float64 paths against the oracle's exact values: float64 rounding and
+# numpy's exp stay far below this tolerance (at most 1.5e-14 relative, on
+# scale-3 weight draws)
+FLOAT_RTOL = FLOAT_ATOL = 1e-12
+
+
 @pytest.mark.parametrize("heads,d_k,d_v,seq", [(1, 3, 3, 5), (2, 2, 3, 4), (4, 1, 2, 2)])
-def test_streaming_equals_reference_float(heads, d_k, d_v, seq):
+@pytest.mark.parametrize("masked", [False, True])
+def test_float_paths_match_the_oracle(heads, d_k, d_v, seq, masked):
     cfg = MhaConfig(d_model=4, num_heads=heads, seq_len=seq, d_k=d_k, d_v=d_v)
     rng = np.random.default_rng(9)
     w = draw_mha_weights(cfg, rng)
-    x = rng.normal(size=(seq, 4))
-    a = att.run_mha_streaming(cfg, w, None, x)
-    b = att.run_mha_reference(cfg, w, None, x)
-    assert np.array_equal(a, b)  # bit-exact, not just close
+    xs = rng.normal(size=(2, seq, 4))
+    mask = (np.arange(seq) % 2 == 0) if masked else None
+    batch = att.mha_forward_batch(cfg, w, None, xs, mask=mask)
+    for i in range(2):
+        want = np.array(oracle_attention(None, xs[i], w, mask=mask), dtype=np.float64)
+        for got in (att.run_mha_streaming(cfg, w, None, xs[i], mask=mask), batch[i]):
+            assert np.allclose(got, want, rtol=FLOAT_RTOL, atol=FLOAT_ATOL)
 
 
 @pytest.mark.parametrize("int_bits,frac_bits", [(8, 8), (6, 10), (12, 4)])
-def test_streaming_equals_reference_fixed(int_bits, frac_bits):
+def test_streaming_equals_oracle_fixed(int_bits, frac_bits):
     fmt = FxFormat(int_bits, frac_bits)
     cfg = MhaConfig(d_model=6, num_heads=2, seq_len=7, d_k=3)
     rng = np.random.default_rng(10)
-    w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
-    x = fxp.quantize_array(rng.normal(size=(7, 6)), fmt)
+    w = draw_mha_weights(cfg, rng)
+    x = rng.normal(size=(7, 6))
     scfg = make_softmax(fmt, 7)
-    a = att.run_mha_streaming(cfg, w, scfg, x)
-    b = att.run_mha_reference(cfg, w, scfg, x)
-    assert np.array_equal(a.raw, b.raw)
+    a = att.run_mha_streaming(cfg, att.quantize_mha_weights(w, fmt), scfg,
+                              fxp.quantize_array(x, fmt))
+    assert a.raw.tolist() == oracle_attention(fmt, x, w, scfg)
 
 
 @pytest.mark.parametrize("fmt", [fxp.parse_format("fixed<64,32>"),
                                  FxFormat(6, 6, overflow=Overflow.WRAP)],
                          ids=["limbs", "wrap"])
-def test_streaming_equals_reference_and_batch_off_the_int64_saturate_path(fmt):
+def test_streaming_equals_oracle_and_batch_off_the_int64_saturate_path(fmt):
     cfg = MhaConfig(d_model=6, num_heads=2, seq_len=7, d_k=3)
     rng = np.random.default_rng(19)
     # wide enough draws that the 12-bit format wraps
-    w = att.quantize_mha_weights(draw_mha_weights(cfg, rng, scale=4.0), fmt)
-    xs = fxp.quantize_array(rng.normal(0.0, 8.0, size=(2, 7, 6)), fmt)
+    w_float = draw_mha_weights(cfg, rng, scale=4.0)
+    w = att.quantize_mha_weights(w_float, fmt)
+    x_float = rng.normal(0.0, 8.0, size=(2, 7, 6))
+    xs = fxp.quantize_array(x_float, fmt)
     scfg = make_softmax(fmt, 7)
     batch = att.mha_forward_batch(cfg, w, scfg, xs)
     for i in range(2):
         a = att.run_mha_streaming(cfg, w, scfg, xs[i])
-        b = att.run_mha_reference(cfg, w, scfg, xs[i])
-        assert a.raw.dtype == b.raw.dtype == batch.raw.dtype
-        assert a.raw.tolist() == b.raw.tolist() == batch.raw[i].tolist()
+        assert a.raw.dtype == batch.raw.dtype == np.int64
+        want = oracle_attention(fmt, x_float[i], w_float, scfg)
+        assert a.raw.tolist() == batch.raw[i].tolist() == want
 
 
-def test_batch_equals_reference_fixed():
+def test_batch_equals_oracle_fixed():
     fmt = FxFormat(10, 10)
     cfg = MhaConfig(d_model=6, num_heads=2, seq_len=5, d_k=3)
     rng = np.random.default_rng(11)
-    w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
+    w = draw_mha_weights(cfg, rng)
     xs = rng.normal(size=(8, 5, 6))
     scfg = make_softmax(fmt, 5)
-    batch = att.mha_forward_batch(cfg, w, scfg, fxp.quantize_array(xs, fmt))
+    batch = att.mha_forward_batch(cfg, att.quantize_mha_weights(w, fmt), scfg,
+                                  fxp.quantize_array(xs, fmt))
     for i in range(8):
-        ref = att.run_mha_reference(cfg, w, scfg, fxp.quantize_array(xs[i], fmt))
-        assert np.array_equal(batch.raw[i], ref.raw)
+        assert batch.raw[i].tolist() == oracle_attention(fmt, xs[i], w, scfg)
 
 
-def test_batch_close_to_reference_float():
+def test_batch_close_to_oracle_float():
     cfg = MhaConfig(d_model=6, num_heads=2, seq_len=5, d_k=3)
     rng = np.random.default_rng(12)
     w = draw_mha_weights(cfg, rng)
     xs = rng.normal(size=(4, 5, 6))
     batch = att.mha_forward_batch(cfg, w, None, xs)
     for i in range(4):
-        assert np.allclose(batch[i], att.run_mha_reference(cfg, w, None, xs[i]),
-                           atol=1e-12)
+        want = np.array(oracle_attention(None, xs[i], w), dtype=np.float64)
+        assert np.allclose(batch[i], want, rtol=FLOAT_RTOL, atol=FLOAT_ATOL)
 
 
 def test_row_permutation_equivariance_fixed():
@@ -432,8 +447,8 @@ def test_row_permutation_equivariance_fixed():
     scfg = make_softmax(fmt, 6)
     x = fxp.quantize_array(rng.normal(size=(6, 6)), fmt)
     perm = rng.permutation(6)
-    out = att.run_mha_reference(cfg, w, scfg, x)
-    out_p = att.run_mha_reference(cfg, w, scfg, FxArray(x.raw[perm], fmt))
+    out = att.run_mha_streaming(cfg, w, scfg, x)
+    out_p = att.run_mha_streaming(cfg, w, scfg, FxArray(x.raw[perm], fmt))
     assert np.array_equal(out_p.raw, out.raw[perm])
 
 
@@ -443,8 +458,8 @@ def test_row_permutation_equivariance_float():
     w = draw_mha_weights(cfg, rng)
     x = rng.normal(size=(5, 4))
     perm = rng.permutation(5)
-    out = att.run_mha_reference(cfg, w, None, x)
-    out_p = att.run_mha_reference(cfg, w, None, x[perm])
+    out = att.run_mha_streaming(cfg, w, None, x)
+    out_p = att.run_mha_streaming(cfg, w, None, x[perm])
     assert np.allclose(out_p, out[perm], atol=1e-12)
 
 
@@ -461,6 +476,31 @@ def test_fixed_scores_nonnegative_and_bounded_sums():
     assert rows.min() >= 0
     sums = rows.sum(axis=1) * fmt.step
     assert np.abs(sums - 1.0).max() <= 5 * (0.015 + fmt.step)
+
+
+@pytest.mark.parametrize("overflow", list(Overflow))
+@pytest.mark.parametrize("rounding", list(fxp.Rounding))
+def test_both_paths_equal_the_oracle_over_drawn_geometries(overflow, rounding):
+    # heads, d_k, d_v, seq_len, d_model and the width drawn; half the draws
+    # mask keys, and weights at scale 3 drive narrow formats into overflow
+    rng = np.random.default_rng([23, len(overflow.value), len(rounding.value)])
+    for _ in range(24):
+        cfg = draw_mha_config(rng)
+        seq = cfg.seq_len
+        fmt = draw_format(rng, overflow, rounding)
+        w = draw_mha_weights(cfg, rng, scale=float(rng.choice([1.0, 3.0])))
+        xs = rng.normal(0.0, 2.0, size=(2, seq, cfg.d_model))
+        mask = None
+        if rng.random() < 0.5:
+            mask = rng.random(seq) < 0.6
+            mask[rng.integers(seq)] = True
+        scfg = make_softmax(fmt, seq)
+        qw, qx = att.quantize_mha_weights(w, fmt), fxp.quantize_array(xs, fmt)
+        batch = att.mha_forward_batch(cfg, qw, scfg, qx, mask=mask)
+        for i in range(2):
+            want = oracle_attention(fmt, xs[i], w, scfg, mask)
+            assert batch.raw[i].tolist() == want, (fmt, cfg, mask)
+            assert att.run_mha_streaming(cfg, qw, scfg, qx[i], mask=mask).raw.tolist() == want
 
 
 def test_mask_hook_excludes_rows_float():
@@ -501,12 +541,13 @@ def test_mask_fixed_masked_key_gets_zero_weight(spec):
 
 @pytest.mark.parametrize("spec", ["fixed<20,8>", "fixed<24,8>"])
 def test_mask_fixed_paths_agree_and_ignore_masked_rows(spec):
-    # streaming == reference == batch bit for bit with a mask, and what a
+    # streaming == oracle == batch bit for bit with a mask, and what a
     # masked row holds cannot reach the output of any kept row
     fmt = fxp.parse_format(spec)
     cfg = MhaConfig(d_model=6, num_heads=2, seq_len=5, d_k=3)
     rng = np.random.default_rng(18)
-    w = att.quantize_mha_weights(draw_mha_weights(cfg, rng), fmt)
+    w_float = draw_mha_weights(cfg, rng)
+    w = att.quantize_mha_weights(w_float, fmt)
     scfg = make_softmax(fmt, 5)
     mask = np.array([True, False, True, True, False])
     x = rng.normal(size=(5, 6))
@@ -516,9 +557,8 @@ def test_mask_fixed_paths_agree_and_ignore_masked_rows(spec):
     for xi in (x, x_other):
         xq = fxp.quantize_array(xi, fmt)
         a = att.run_mha_streaming(cfg, w, scfg, xq, mask=mask)
-        b = att.run_mha_reference(cfg, w, scfg, xq, mask=mask)
         c = att.mha_forward_batch(cfg, w, scfg, FxArray(xq.raw[None], fmt), mask=mask)
-        assert np.array_equal(a.raw, b.raw)
+        assert a.raw.tolist() == oracle_attention(fmt, xi, w_float, scfg, mask)
         assert np.array_equal(a.raw, c.raw[0])
         outs.append(a.raw)
     assert np.array_equal(outs[0][mask], outs[1][mask])
@@ -534,8 +574,7 @@ def test_bad_mask_rejected_on_every_path(mask):
     cfg = MhaConfig(d_model=4, num_heads=1, seq_len=4, d_k=4)
     w = draw_mha_weights(cfg, np.random.default_rng(0))
     x = np.ones((4, 4))
-    for run, xi in ((att.run_mha_streaming, x), (att.run_mha_reference, x),
-                    (att.mha_forward_batch, x[None])):
+    for run, xi in ((att.run_mha_streaming, x), (att.mha_forward_batch, x[None])):
         with pytest.raises(ValueError, match="mask"):
             run(cfg, w, None, xi, mask=mask)
 

@@ -356,6 +356,42 @@ MODES = [(o, r) for o in Overflow for r in Rounding]
 LIMBS = None  # what _product_dtype returns for the limb tier
 
 
+MATMUL_SHAPES = [((4,), (4,)), ((3, 4), (4,)), ((4,), (4, 2)), ((3, 4), (4, 2)),
+                 ((3, 4), (2, 4, 2)), ((4,), (2, 4, 2)), ((2, 3, 4), (4,)),
+                 ((2, 3, 4), (4, 2)), ((2, 3, 4), (2, 4, 2)), ((1, 3, 4), (2, 4, 2)),
+                 ((2, 1, 3, 4), (3, 4, 2))]
+
+
+def oracle_matmul_nd(a: np.ndarray, b: np.ndarray, fmt: FxFormat) -> np.ndarray:
+    """``a @ b`` by np.matmul's shape rules, each 2-D slice by oracle_matmul."""
+    a2 = a[None] if a.ndim == 1 else a
+    b2 = b[:, None] if b.ndim == 1 else b
+    lead = np.broadcast_shapes(a2.shape[:-2], b2.shape[:-2])
+    pairs = zip(np.broadcast_to(a2, (*lead, *a2.shape[-2:])).reshape(-1, *a2.shape[-2:]),
+                np.broadcast_to(b2, (*lead, *b2.shape[-2:])).reshape(-1, *b2.shape[-2:]))
+    out = np.array([oracle_matmul(x, y, fmt) for x, y in pairs], dtype=np.int64)
+    dropped = tuple(axis for axis, dim in ((-2, a.ndim), (-1, b.ndim)) if dim == 1)
+    return out.reshape(*lead, a2.shape[-2], b2.shape[-1]).squeeze(axis=dropped)
+
+
+@pytest.mark.parametrize("spec,bound,tier", [
+    ("fixed<20,10>", None, np.float64), ("fixed<48,24>", None, LIMBS),
+    ("fixed<48,24>", 1 << 27, np.int64), ("fixed<64,32>", None, LIMBS)],
+    ids=["float64", "limbs48", "int64", "limbs64"])
+@pytest.mark.parametrize("shapes", MATMUL_SHAPES, ids=str)
+def test_matmul_follows_np_matmul_shapes(spec, bound, tier, shapes):
+    # full-range raws, or raws up to ``bound`` so that the scan picks int64
+    fmt = fxp.parse_format(spec)
+    rng = np.random.default_rng(sum(map(len, shapes)))
+    lo, hi = (fmt.raw_min, fmt.raw_max) if bound is None else (-bound, bound)
+    a, b = (rng.integers(lo, hi, size=shape, endpoint=True) for shape in shapes)
+    a.flat[0], b.flat[0] = lo, lo
+    assert fxp._product_dtype(a, b, fmt, a.shape[-1]) is tier
+    got = fxp.fx_matmul(FxArray(a, fmt), FxArray(b, fmt))
+    assert got.shape == np.matmul(np.zeros(a.shape), np.zeros(b.shape)).shape
+    assert np.array_equal(got.raw, oracle_matmul_nd(a, b, fmt))
+
+
 def edge_operands(fmt: FxFormat, k: int, seed: int):
     """(4, k) and (k, 3) raws: a row and a column of raw_min, of raw_max, and
     random in-range raws elsewhere, so both extremes meet in every pairing."""

@@ -1,6 +1,7 @@
 """Full-model forward passes, weight file round trips, analytic constructor."""
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,8 @@ from fxattn import layers as L
 from fxattn import softmax as sm
 from fxattn.fxp import FxArray, FxFormat
 from fxattn.model import ModelConfig, WeightFormatError
-from draws import draw_mha_weights, softmax_tables
+from draws import draw_format, draw_mha_config, draw_mha_weights, softmax_tables, table_data
+from fxoracle import NetworkOracle
 
 # Regression floor for the analytic model on the seed-fixed synthetic set
 # (measured 0.96907 at n=10000, seed 20240601).
@@ -207,6 +209,135 @@ def test_float_forward_bits_pinned_to_plain_numpy():
 
 
 # ---------------------------------------------------------------------------
+# the whole network against the exact oracle
+# ---------------------------------------------------------------------------
+
+def draw_config(rng) -> ModelConfig:
+    """A small geometry: drawn attention, 0-3 blocks, 0-2 head layers and
+    2-4 classes."""
+    return ModelConfig(
+        num_encoder_blocks=int(rng.integers(0, 4)),
+        encoder=model.EncoderBlockConfig(mha=draw_mha_config(rng),
+                                         ff_hidden=int(rng.integers(1, 6))),
+        head_dims=tuple(int(d) for d in rng.integers(1, 9, size=int(rng.integers(0, 3)))),
+        num_classes=int(rng.integers(2, 5)))
+
+
+def oracle_network(cfg, w, x, fmt) -> tuple[list, int]:
+    """The oracle's probabilities for the jets x, and the overflows it counted."""
+    orc = NetworkOracle(fmt)
+    tables = [table_data(fmt and softmax_tables(fmt, n + 1))
+              for n in (cfg.seq_len, cfg.num_classes)]
+    return orc.network(x, model._tensor_map(cfg, w), *tables), orc.overflows
+
+
+def forward_raws(monkeypatch, cfg, w, x, fmt) -> list:
+    """forward_batch's output-layer raws: the floats it hands back keep 53
+    significant bits, fewer than a wide format's raws."""
+    outs = []
+    dense = L.dense_forward
+
+    def spy(layer, h, softmax_cfg=None):
+        out = dense(layer, h, softmax_cfg)
+        if layer.activation is L.Activation.SOFTMAX:
+            outs.append(out.raw.tolist())
+        return out
+    monkeypatch.setattr(L, "dense_forward", spy)
+    probs = model.forward_batch(cfg, w, x, fmt=fmt)
+    monkeypatch.undo()
+    assert len(outs) == 1
+    assert np.array_equal(probs, np.ldexp(np.array(outs[0], dtype=np.float64), -fmt.frac_bits))
+    return outs[0]
+
+
+@pytest.mark.parametrize("overflow", list(fxp.Overflow))
+@pytest.mark.parametrize("rounding", list(fxp.Rounding))
+def test_forward_batch_equals_the_oracle(monkeypatch, overflow, rounding):
+    rng = np.random.default_rng([39, len(overflow.value), len(rounding.value)])
+    for _ in range(24):
+        cfg = draw_config(rng)
+        fmt = draw_format(rng, overflow, rounding)
+        w = model.random_weights(cfg, rng, scale=float(rng.choice([1.0, 3.0])))
+        x = rng.normal(0.0, 2.0, size=(2, cfg.seq_len, cfg.num_features))
+        want, _ = oracle_network(cfg, w, x, fmt)
+        assert forward_raws(monkeypatch, cfg, w, x, fmt) == want, (fmt, cfg)
+
+
+def test_forward_batch_equals_the_oracle_default_geometry(monkeypatch):
+    cfg, w, x = benchmark_inputs(2)
+    for spec in ("fixed<20,10>", "fixed<48,24>", "fixed<64,32>"):
+        fmt = fxp.parse_format(spec)
+        assert forward_raws(monkeypatch, cfg, w, x, fmt) == oracle_network(cfg, w, x, fmt)[0]
+
+
+def test_float_forward_batch_matches_the_oracle():
+    # float64 against exact values: only summation order and numpy's exp differ
+    rng = np.random.default_rng(40)
+    for _ in range(6):
+        cfg = draw_config(rng)
+        w = model.random_weights(cfg, rng)
+        x = rng.normal(size=(2, cfg.seq_len, cfg.num_features))
+        want = np.array(oracle_network(cfg, w, x, None)[0], dtype=np.float64)
+        assert np.allclose(model.forward_batch(cfg, w, x), want, rtol=1e-12, atol=1e-12)
+
+
+OVERFLOWING = ["fixed<12,6>", "fixed<16,1>", "fixed<10,3>", "fixed<20,10>", "fixed<64,8>"]
+
+
+@pytest.mark.parametrize("overflow", list(fxp.Overflow))
+def test_overflow_watch_counts_exactly_the_oracles_overflows(overflow):
+    # the precision sweep's proof: a pass counts no event exactly when no
+    # step's overflow handling changed a value
+    rng = np.random.default_rng([41, len(overflow.value)])
+    seen = set()
+    for i in range(20):
+        cfg = draw_config(rng)
+        fmt = fxp.parse_format(OVERFLOWING[i % len(OVERFLOWING)], overflow=overflow)
+        w = model.random_weights(cfg, rng, scale=float(rng.choice([0.3, 1.0, 3.0])))
+        x = rng.normal(0.0, float(rng.choice([0.3, 1.0, 3.0])), size=(2, cfg.seq_len,
+                                                                      cfg.num_features))
+        with fxp.overflow_watch() as watch:
+            model.forward_batch(cfg, w, x, fmt=fmt)
+        _, counted = oracle_network(cfg, w, x, fmt)
+        assert (watch.events == 0) == (counted == 0), (fmt, cfg, watch.events, counted)
+        seen.add(counted == 0)
+    assert seen == {True, False}
+
+
+SOFTMAX_ROWS = {  # id: (format, scores, whether a step overflows)
+    "shift": ("fixed<12,6>", [-20.0, 13.0], True),  # -33 saturates at -32
+    "sum": ("fixed<12,4>", [0.0] * 15, True),  # 15 terms near 1 pass 8
+    "none": ("fixed<12,6>", [-10.0, 13.0, 0.5], False),
+}
+
+
+@pytest.mark.parametrize("case", list(SOFTMAX_ROWS))
+@pytest.mark.parametrize("overflow", list(fxp.Overflow))
+def test_softmax_steps_count_as_the_oracle_does(case, overflow):
+    spec, scores, overflows = SOFTMAX_ROWS[case]
+    fmt = fxp.parse_format(spec, overflow=overflow)
+    scfg = softmax_tables(fmt, len(scores) + 1)
+    x = fxp.quantize_array(np.array(scores), fmt)
+    with fxp.overflow_watch() as watch:
+        got = sm.softmax_lut(scfg, x)
+    orc = NetworkOracle(fmt)
+    assert got.raw.tolist() == orc.softmax(x.raw.tolist(), table_data(scfg))
+    assert (watch.events > 0) == (orc.overflows > 0) == overflows
+
+
+@pytest.mark.parametrize("int_bits", [1, 2])
+def test_table_entries_count_as_overflows(int_bits):
+    # the reciprocal table's first entry is 1/1, which saturates at one int bit
+    fmt = FxFormat(int_bits, 16 - int_bits)
+    with fxp.overflow_watch() as watch:
+        scfg = softmax_tables(fmt, 4)
+    orc = NetworkOracle(fmt)
+    for table, f in zip(table_data(scfg), (math.exp, lambda v: 1 / v)):
+        orc.quantize_table(table, f)
+    assert (watch.events > 0) == (orc.overflows > 0) == (int_bits == 1)
+
+
+# ---------------------------------------------------------------------------
 # chunked batch pass
 # ---------------------------------------------------------------------------
 
@@ -289,7 +420,7 @@ def test_analytic_uniform_attention_linear_in_mean():
     w = model.make_analytic_weights(cfg)
     rng = np.random.default_rng(35)
     x = np.abs(rng.normal(size=(15, 6)))
-    mha_out = att.run_mha_reference(cfg.encoder.mha, w.blocks[0].mha, None, x)
+    mha_out = att.run_mha_streaming(cfg.encoder.mha, w.blocks[0].mha, None, x)
     want = np.zeros(6)
     want[0] = x[:, 2].mean()
     assert np.allclose(mha_out, np.tile(want, (15, 1)), atol=1e-12)

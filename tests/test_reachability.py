@@ -9,6 +9,9 @@ harness calls directly, and records every Python call with sys.setprofile.
 A module variable that code rebinds is shared by every caller in the
 process, so two callers (a sweep inside a sweep, one test after another)
 see each other's state. The second guard fails on any ``global`` statement.
+
+The exact oracle in tests/fxoracle.py checks src/fxattn only while it shares
+none of its arithmetic; a third guard holds its imports to the format types.
 """
 import ast
 import inspect
@@ -99,7 +102,8 @@ def run_benchmark_entry_points() -> None:
                                   table_size=cfg.softmax_table_size, exp_lo=cfg.softmax_exp_lo)
     x = fxp.quantize_array(data.generate_synthetic(1, seed=3).feature_tensor()[0], fmt)
     streamed = att.run_mha_streaming(mha_cfg, mha, scfg, x)
-    assert np.array_equal(streamed.raw, att.run_mha_reference(mha_cfg, mha, scfg, x).raw)
+    batch = att.mha_forward_batch(mha_cfg, mha, scfg, fxp.FxArray(x.raw[None], fmt))
+    assert np.array_equal(streamed.raw, batch.raw[0])
 
 
 def test_every_src_function_is_reached(tmp_path):
@@ -158,3 +162,19 @@ def object_array_sites() -> list[str]:
 def test_no_object_arrays():
     # raws are int64 at every width; wide intermediates run on int64 limbs
     assert object_array_sites() == []
+
+
+def test_oracle_imports_only_the_format_types():
+    # the exact oracle must share no arithmetic with src: from fxattn it takes
+    # the format types and nothing else, and it imports no other test module
+    path = Path(__file__).resolve().parent / "fxoracle.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [(node.module, alias.name) for alias in node.names]
+    from_fxattn = {(m, n) for m, n in imported if m.split(".")[0] == "fxattn"}
+    assert from_fxattn == {("fxattn.fxp", n) for n in ("FxFormat", "Overflow", "Rounding")}
+    others = {m.split(".")[0] for m, _ in imported} - {"fxattn"}
+    assert others <= set(sys.stdlib_module_names) | {"numpy"}, others

@@ -199,3 +199,14 @@ def test_run_paper_sweeps_script(tmp_path, run_python):
         "precision_sweep.csv": "int_bits,frac_bits,auc_b,auc_c,auc_light,auc_macro,auc_ratio",
         "reuse_sweep.csv": "rf,dsp,lut,ff,bram,latency_us,ii_ns",
     }
+
+
+@pytest.mark.parametrize("argv,flag", [(["--jobs", "0"], "--jobs"), (["--n", "0"], "--n"),
+                                       (["--seed", "-1"], "--seed")])
+def test_run_paper_sweeps_refuses_a_bad_count_before_writing(tmp_path, run_python, argv, flag):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_paper_sweeps.py"
+    out_dir = tmp_path / "out"
+    out = run_python(str(script), *argv, "--out", str(out_dir))
+    assert out.returncode == 2
+    assert f"argument {flag}:" in out.stderr
+    assert not out_dir.exists()
